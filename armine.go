@@ -141,8 +141,9 @@ type Rule = rules.Rule
 // RuleOptions filters generated rules.
 type RuleOptions = rules.Options
 
-// GenerateRules derives rules from the frequent itemsets.
-func GenerateRules(res *Result, opts RuleOptions) []Rule { return rules.Generate(res, opts) }
+// GenerateRules derives rules from the frequent itemsets with the
+// allocation-free ap-genrules generator, in descending confidence order.
+func GenerateRules(res *Result, opts RuleOptions) []Rule { return rules.GenerateFast(res, opts) }
 
 // Placement policies (Section 5).
 type Policy = mem.Policy
@@ -501,9 +502,9 @@ func EvaluateSampling(d *Database, opts SamplingOptions) (SamplingAccuracy, *Res
 	return sampling.Evaluate(d, opts)
 }
 
-// GenerateRulesFast derives the same rules as GenerateRules via the
-// ap-genrules consequent-growth algorithm (faster on itemsets with many
-// subsets).
+// GenerateRulesFast is GenerateRules: both run the one rule generator.
+//
+// Deprecated: use GenerateRules.
 func GenerateRulesFast(res *Result, opts RuleOptions) []Rule {
 	return rules.GenerateFast(res, opts)
 }

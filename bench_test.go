@@ -285,9 +285,10 @@ func BenchmarkRules(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rules.Generate(res, rules.Options{MinConfidence: 0.5, DBSize: int64(d.Len())})
+		rules.GenerateFast(res, rules.Options{MinConfidence: 0.5, DBSize: int64(d.Len())})
 	}
 }
 

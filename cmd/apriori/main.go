@@ -439,7 +439,7 @@ func report(res *apriori.Result, stats *engine.Stats, o cliOptions, d *db.Databa
 	}
 
 	if o.RuleConf > 0 {
-		rs := rules.Generate(res, rules.Options{MinConfidence: o.RuleConf, DBSize: dbSize})
+		rs := rules.GenerateFast(res, rules.Options{MinConfidence: o.RuleConf, DBSize: dbSize})
 		fmt.Printf("rules at confidence >= %.2f: %d\n", o.RuleConf, len(rs))
 		for i, rl := range rs {
 			if i >= o.TopN {

@@ -42,7 +42,7 @@ func main() {
 		interval = flag.Duration("remine-interval", 100*time.Millisecond, "debounce between re-mines")
 		maxBatch = flag.Int("max-batch", 65536, "max transactions per ingest request")
 		maxItems = flag.Int("max-tx-items", 4096, "max items per transaction")
-		maxItem  = flag.Int64("max-item", 1<<20, "exclusive item-id upper bound")
+		maxItem  = flag.Int64("max-item", 1<<20, "exclusive item-id upper bound (at most 2^31)")
 		maxBody  = flag.Int64("max-body", 8<<20, "max ingest body bytes")
 
 		ingest    = flag.String("ingest", "", "client mode: .ardb file to stream into a daemon")
@@ -52,6 +52,10 @@ func main() {
 		waitFor   = flag.Duration("wait-timeout", 30*time.Second, "client mode: -wait-published timeout")
 	)
 	flag.Parse()
+	if *maxItem > serve.MaxItemLimit {
+		fmt.Fprintf(os.Stderr, "armined: -max-item %d exceeds %d: item ids are int32\n", *maxItem, int64(serve.MaxItemLimit))
+		os.Exit(2)
+	}
 
 	if *ingest != "" {
 		if err := runClient(*ingest, *to, *batchSize, *waitPub, *waitFor); err != nil {

@@ -1,67 +1,28 @@
 package rules
 
-import (
-	"sort"
-
-	"repro/internal/itemset"
-)
+import "sort"
 
 // confEpsilon absorbs float rounding at the confidence threshold: a rule
 // whose exact confidence equals MinConfidence must pass even when the
 // division lands an ulp low (support ratios like 3/4 vs a 0.75 threshold).
-// Generate and GenerateFast share this constant through MeetsConfidence so
-// the two algorithms can never diverge on boundary rules.
+// GenerateFast and the brute-force oracle of its tests share this constant
+// through MeetsConfidence, so the two can never diverge on boundary rules.
 const confEpsilon = 1e-12
 
 // MeetsConfidence reports whether a computed confidence passes the
 // threshold, with the shared epsilon applied. Exported so downstream
 // consumers of pre-generated rule lists (the armined query index) cut off
-// at exactly the same boundary the generators used.
+// at exactly the same boundary the generator used.
 func MeetsConfidence(conf, min float64) bool {
 	return conf+confEpsilon >= min
-}
-
-// evalRule scores the candidate rule (x−y) ⇒ y against the support table
-// and the options: confidence from the antecedent's support, and — when
-// DBSize is known — the support fraction and lift. It returns ok=false when
-// the rule fails the confidence threshold or the antecedent is missing from
-// the table (impossible for a downward-closed miner, but guarded). This is
-// the single scoring path shared by Generate and GenerateFast; before it
-// existed the epsilon-and-lift logic was copy-pasted in both and could
-// silently diverge.
-func evalRule(sup map[string]int64, x itemset.Itemset, xCount int64, y itemset.Itemset, opts Options) (Rule, bool) {
-	ante := x.Minus(y)
-	anteSup, ok := sup[ante.Key()]
-	if !ok || anteSup == 0 {
-		return Rule{}, false
-	}
-	conf := float64(xCount) / float64(anteSup)
-	if !MeetsConfidence(conf, opts.MinConfidence) {
-		return Rule{}, false
-	}
-	r := Rule{
-		Antecedent: ante,
-		Consequent: y.Clone(),
-		Support:    xCount,
-		Confidence: conf,
-	}
-	if opts.DBSize > 0 {
-		r.SupportFrac = float64(xCount) / float64(opts.DBSize)
-		if cSup, ok := sup[y.Key()]; ok && cSup > 0 {
-			r.Lift = conf / (float64(cSup) / float64(opts.DBSize))
-		}
-	}
-	return r, true
 }
 
 // sortRules orders a rule list deterministically: descending confidence,
 // then descending support, then antecedent, then consequent. The final
 // consequent tiebreak makes the comparator a total order — two distinct
 // rules never compare equal (an (antecedent, consequent) pair is unique) —
-// so Generate and GenerateFast emit byte-identical orderings regardless of
-// the enumeration order they discovered the rules in. Before this helper
-// each algorithm carried its own three-key sort.Slice, and rules tied on
-// all three keys could come back in either order.
+// so the output is byte-identical whatever order the rules were
+// discovered in.
 func sortRules(out []Rule) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {

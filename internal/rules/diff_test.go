@@ -17,11 +17,11 @@ import (
 func assertSameRules(t *testing.T, label string, slow, fast []Rule) {
 	t.Helper()
 	if len(slow) != len(fast) {
-		t.Fatalf("%s: Generate emits %d rules, GenerateFast %d", label, len(slow), len(fast))
+		t.Fatalf("%s: the oracle emits %d rules, GenerateFast %d", label, len(slow), len(fast))
 	}
 	for i := range slow {
 		if !reflect.DeepEqual(slow[i], fast[i]) {
-			t.Fatalf("%s: rule %d differs:\n  Generate:     %+v (frac %v lift %v)\n  GenerateFast: %+v (frac %v lift %v)",
+			t.Fatalf("%s: rule %d differs:\n  oracle:       %+v (frac %v lift %v)\n  GenerateFast: %+v (frac %v lift %v)",
 				label, i, slow[i], slow[i].SupportFrac, slow[i].Lift, fast[i], fast[i].SupportFrac, fast[i].Lift)
 		}
 	}
@@ -31,8 +31,8 @@ func assertSameRules(t *testing.T, label string, slow, fast []Rule) {
 // seeded Quest workloads (uniform, dense, skewed), every combination of
 // confidence threshold, MaxConsequent bound and DBSize must yield
 // bit-identical rule lists — same rules, same scores, same deterministic
-// order — from the 2^k-subset enumerator and the ap-genrules
-// consequent-growth pruner.
+// order — from the brute-force 2^k-subset oracle and GenerateFast's
+// ap-genrules consequent growth.
 func TestGenerateVsFastOnGenWorkloads(t *testing.T) {
 	workloads := []struct {
 		p       gen.Params
@@ -56,7 +56,7 @@ func TestGenerateVsFastOnGenWorkloads(t *testing.T) {
 				for _, dbSize := range []int64{0, int64(d.Len())} {
 					opts := Options{MinConfidence: conf, MaxConsequent: maxC, DBSize: dbSize}
 					label := fmt.Sprintf("w%d conf=%g maxc=%d dbsize=%d", wi, conf, maxC, dbSize)
-					assertSameRules(t, label, Generate(res, opts), GenerateFast(res, opts))
+					assertSameRules(t, label, bruteForce(res, opts), GenerateFast(res, opts))
 				}
 			}
 		}
@@ -65,9 +65,9 @@ func TestGenerateVsFastOnGenWorkloads(t *testing.T) {
 
 // TestGenerateVsFastBoundaryConfidence pins the shared epsilon: rules whose
 // confidence is exactly the threshold (3/4 against 0.75, 2/3 against the
-// nearest float to 2/3) must be kept by both algorithms, and a threshold one
-// ulp above must drop them from both. A divergence here is precisely the
-// copy-paste drift the shared evalRule helper exists to prevent.
+// nearest float to 2/3) must be kept by both the oracle and GenerateFast,
+// and a threshold one ulp above must drop them from both. A divergence here
+// means the two no longer share MeetsConfidence's epsilon.
 func TestGenerateVsFastBoundaryConfidence(t *testing.T) {
 	// support({1}) = 4, support({1,2}) = 3 → conf(1⇒2) = 0.75 exactly.
 	// support({3}) = 3, support({3,4}) = 2 → conf(3⇒4) = 2/3 (inexact).
@@ -82,7 +82,7 @@ func TestGenerateVsFastBoundaryConfidence(t *testing.T) {
 	}
 	for _, conf := range []float64{0.75, 2.0 / 3.0, 0.6666666666666667, 1.0} {
 		opts := Options{MinConfidence: conf, DBSize: int64(d.Len())}
-		slow, fast := Generate(res, opts), GenerateFast(res, opts)
+		slow, fast := bruteForce(res, opts), GenerateFast(res, opts)
 		assertSameRules(t, fmt.Sprintf("conf=%v", conf), slow, fast)
 		for _, r := range slow {
 			if !MeetsConfidence(r.Confidence, conf) {
@@ -91,14 +91,14 @@ func TestGenerateVsFastBoundaryConfidence(t *testing.T) {
 		}
 	}
 	// The exact-boundary rule must survive its own threshold.
-	rs := Generate(res, Options{MinConfidence: 0.75})
+	rs := GenerateFast(res, Options{MinConfidence: 0.75})
 	if findRule(rs, itemset.New(1), itemset.New(2)) == nil {
 		t.Error("conf-0.75 rule 1⇒2 dropped at threshold 0.75 (epsilon regression)")
 	}
 }
 
 // FuzzGenerateVsFast feeds arbitrary small transaction databases through
-// both generators. The input encoding: bytes are consumed two at a time as
+// GenerateFast and the oracle. The input encoding: bytes are consumed two at a time as
 // (transaction id, item) with item folded into a small universe, so short
 // random inputs produce overlapping baskets and real rules.
 func FuzzGenerateVsFast(f *testing.F) {
@@ -135,6 +135,6 @@ func FuzzGenerateVsFast(f *testing.F) {
 			t.Fatal(err)
 		}
 		opts := Options{MinConfidence: conf, MaxConsequent: int(maxC % 4), DBSize: int64(d.Len())}
-		assertSameRules(t, "fuzz", Generate(res, opts), GenerateFast(res, opts))
+		assertSameRules(t, "fuzz", bruteForce(res, opts), GenerateFast(res, opts))
 	})
 }

@@ -7,7 +7,6 @@ package rules
 import (
 	"fmt"
 
-	"repro/internal/apriori"
 	"repro/internal/itemset"
 )
 
@@ -42,37 +41,4 @@ type Options struct {
 	DBSize int64
 	// MaxConsequent bounds the consequent size; 0 means no bound.
 	MaxConsequent int
-}
-
-// Generate derives all rules meeting the confidence threshold from a mining
-// result. For every frequent itemset X (|X| ≥ 2) and every non-empty proper
-// subset Y ⊂ X it evaluates X−Y ⇒ Y. Rules come back in the deterministic
-// shared order of sortRules: descending confidence, then support, then
-// antecedent, then consequent.
-func Generate(res *apriori.Result, opts Options) []Rule {
-	sup := make(map[string]int64)
-	for _, f := range res.All() {
-		sup[f.Items.Key()] = f.Count
-	}
-	var out []Rule
-	for k := 2; k < len(res.ByK); k++ {
-		for _, f := range res.ByK[k] {
-			x := f.Items
-			// Enumerate consequent sizes 1..k-1 (bounded).
-			maxC := k - 1
-			if opts.MaxConsequent > 0 && opts.MaxConsequent < maxC {
-				maxC = opts.MaxConsequent
-			}
-			for cs := 1; cs <= maxC; cs++ {
-				x.ForEachSubset(cs, func(y itemset.Itemset) bool {
-					if r, ok := evalRule(sup, x, f.Count, y, opts); ok {
-						out = append(out, r)
-					}
-					return true
-				})
-			}
-		}
-	}
-	sortRules(out)
-	return out
 }

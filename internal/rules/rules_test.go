@@ -36,7 +36,7 @@ func findRule(rs []Rule, ante, cons itemset.Itemset) *Rule {
 
 func TestGenerateFromExample(t *testing.T) {
 	res := exampleResult(t)
-	rs := Generate(res, Options{MinConfidence: 0, DBSize: 4})
+	rs := GenerateFast(res, Options{MinConfidence: 0, DBSize: 4})
 	// 4 ⇒ 5: support(45)=3, support(4)=3 → confidence 1.0.
 	r := findRule(rs, itemset.New(4), itemset.New(5))
 	if r == nil {
@@ -64,8 +64,8 @@ func TestGenerateFromExample(t *testing.T) {
 
 func TestConfidenceThreshold(t *testing.T) {
 	res := exampleResult(t)
-	all := Generate(res, Options{MinConfidence: 0})
-	strict := Generate(res, Options{MinConfidence: 0.9})
+	all := GenerateFast(res, Options{MinConfidence: 0})
+	strict := GenerateFast(res, Options{MinConfidence: 0.9})
 	if len(strict) >= len(all) {
 		t.Errorf("threshold did not filter: %d vs %d", len(strict), len(all))
 	}
@@ -78,7 +78,7 @@ func TestConfidenceThreshold(t *testing.T) {
 
 func TestRulesSortedByConfidence(t *testing.T) {
 	res := exampleResult(t)
-	rs := Generate(res, Options{MinConfidence: 0})
+	rs := GenerateFast(res, Options{MinConfidence: 0})
 	for i := 1; i < len(rs); i++ {
 		if rs[i-1].Confidence < rs[i].Confidence-1e-12 {
 			t.Fatalf("rules not sorted at %d", i)
@@ -88,7 +88,7 @@ func TestRulesSortedByConfidence(t *testing.T) {
 
 func TestAntecedentConsequentDisjointAndComplete(t *testing.T) {
 	res := exampleResult(t)
-	rs := Generate(res, Options{MinConfidence: 0})
+	rs := GenerateFast(res, Options{MinConfidence: 0})
 	for _, r := range rs {
 		if r.Antecedent.Intersect(r.Consequent).K() != 0 {
 			t.Errorf("overlapping rule %v", r)
@@ -105,7 +105,7 @@ func TestAntecedentConsequentDisjointAndComplete(t *testing.T) {
 
 func TestLiftComputation(t *testing.T) {
 	res := exampleResult(t)
-	rs := Generate(res, Options{MinConfidence: 0, DBSize: 4})
+	rs := GenerateFast(res, Options{MinConfidence: 0, DBSize: 4})
 	r := findRule(rs, itemset.New(4), itemset.New(5))
 	// conf(4⇒5)=1.0; supFrac(5)=3/4 → lift 4/3.
 	if math.Abs(r.Lift-4.0/3) > 1e-9 {
@@ -115,7 +115,7 @@ func TestLiftComputation(t *testing.T) {
 		t.Errorf("supportFrac = %f", r.SupportFrac)
 	}
 	// Without DBSize lift stays zero.
-	rs0 := Generate(res, Options{MinConfidence: 0})
+	rs0 := GenerateFast(res, Options{MinConfidence: 0})
 	if findRule(rs0, itemset.New(4), itemset.New(5)).Lift != 0 {
 		t.Error("lift computed without DBSize")
 	}
@@ -123,7 +123,7 @@ func TestLiftComputation(t *testing.T) {
 
 func TestMaxConsequent(t *testing.T) {
 	res := exampleResult(t)
-	rs := Generate(res, Options{MinConfidence: 0, MaxConsequent: 1})
+	rs := GenerateFast(res, Options{MinConfidence: 0, MaxConsequent: 1})
 	for _, r := range rs {
 		if r.Consequent.K() > 1 {
 			t.Errorf("consequent too large: %v", r)
@@ -151,7 +151,7 @@ func TestGenerateOnSyntheticData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := Generate(res, Options{MinConfidence: 0.5, DBSize: int64(d.Len())})
+	rs := GenerateFast(res, Options{MinConfidence: 0.5, DBSize: int64(d.Len())})
 	// Verify each rule's confidence against raw data.
 	for _, r := range rs[:min(len(rs), 30)] {
 		x := r.Antecedent.Union(r.Consequent)
@@ -183,7 +183,7 @@ func min(a, b int) int {
 
 func TestEmptyResult(t *testing.T) {
 	res := &apriori.Result{ByK: make([][]apriori.FrequentItemset, 2)}
-	if rs := Generate(res, Options{}); len(rs) != 0 {
+	if rs := GenerateFast(res, Options{}); len(rs) != 0 {
 		t.Errorf("empty result generated %d rules", len(rs))
 	}
 }

@@ -111,8 +111,8 @@ func (s *Server) rulesHandler(w http.ResponseWriter, r *http.Request) {
 	item := int64(-1)
 	if v := q.Get("item"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeJSONError(w, http.StatusBadRequest, "item must be a non-negative integer")
+		if err != nil || n < 0 || n >= s.cfg.MaxItem {
+			writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("item must be an integer in [0,%d)", s.cfg.MaxItem))
 			return
 		}
 		item = n
@@ -214,6 +214,9 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
+	gaugeFloat := func(name, help string, v float64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
+	}
 	counter("armined_ingested_transactions_total", "Transactions accepted into the live database.", s.ingestedTx.Load())
 	counter("armined_ingest_batches_total", "Ingest requests accepted.", s.ingestBatches.Load())
 	counter("armined_ingest_errors_total", "Ingest requests rejected by validation.", s.ingestErrs.Load())
@@ -226,7 +229,7 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		gauge("armined_snapshot_generation", "Generation of the published snapshot.", snap.Generation)
 		gauge("armined_snapshot_db_transactions", "Transaction prefix covered by the published snapshot.", snap.DBLen)
 		gauge("armined_snapshot_rules", "Rules in the published snapshot.", int64(len(snap.Rules)))
-		gauge("armined_snapshot_mine_wall_seconds", "Wall-clock of the published snapshot's mine (seconds, truncated).", int64(snap.Wall.Seconds()))
+		gaugeFloat("armined_snapshot_mine_wall_seconds", "Wall-clock of the published snapshot's mine and rule generation (seconds).", snap.Wall.Seconds())
 	}
 	// The live recorder: scrape-safe by construction (atomic per-worker
 	// counters), even while a mine is actively recording into it.

@@ -82,8 +82,9 @@ type Config struct {
 	MaxBatch int
 	// MaxTxItems caps items per transaction (default 4096).
 	MaxTxItems int
-	// MaxItem is the exclusive item-universe bound; ingested items must lie
-	// in [0, MaxItem). Default 1<<20.
+	// MaxItem is the exclusive item-universe bound; ingested items and
+	// /rules?item= ids must lie in [0, MaxItem). Default 1<<20, at most
+	// MaxItemLimit.
 	MaxItem int64
 	// MaxBodyBytes caps the /ingest request body (default 8 MiB).
 	MaxBodyBytes int64
@@ -110,6 +111,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// MaxItemLimit is the widest item universe a Config may declare: item ids
+// are int32, so an id at or past 2³¹ would wrap onto a smaller one.
+const MaxItemLimit = 1 << 31
 
 // Server is the daemon state. Construct with New, serve Handler() over
 // HTTP, and run the re-mine loop with Run.
@@ -144,9 +149,14 @@ type Server struct {
 	remineErrs    atomic.Int64 // re-mines that failed (non-cancellation)
 }
 
-// New builds a Server with an empty database.
+// New builds a Server with an empty database. It panics when cfg.MaxItem
+// exceeds MaxItemLimit; a bound taken from outside the program must be
+// checked against MaxItemLimit first.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	if cfg.MaxItem > MaxItemLimit {
+		panic(fmt.Sprintf("serve: MaxItem %d exceeds MaxItemLimit %d", cfg.MaxItem, int64(MaxItemLimit)))
+	}
 	return &Server{
 		cfg:       cfg,
 		rec:       obs.NewRecorder(cfg.Procs),
@@ -206,7 +216,7 @@ func (s *Server) ValidateBatch(txs [][]int64) ([]itemset.Itemset, error) {
 			if v < 0 || v >= s.cfg.MaxItem {
 				return nil, &txError{i, fmt.Errorf("item %d outside universe [0,%d)", v, s.cfg.MaxItem)}
 			}
-			items[j] = itemset.Item(v) // bounds-checked above: MaxItem caps below 2³¹
+			items[j] = itemset.Item(v) // bounds-checked above: New caps MaxItem at 2³¹
 		}
 		out[i] = itemset.New(items...) // sorts + dedups
 	}

@@ -6,14 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/apriori"
 	"repro/internal/db"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -253,6 +256,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 			}
 		}
 	}
+	// Ids outside [0, MaxItem) are refused, not narrowed: 2³²+1 used to
+	// wrap onto item 1's rules.
+	for _, item := range []string{"4294967297", fmt.Sprint(s.cfg.MaxItem), "-1"} {
+		if code := getJSON(t, ts.URL+"/rules?item="+item, nil); code != http.StatusBadRequest {
+			t.Errorf("/rules?item=%s: HTTP %d, want 400", item, code)
+		}
+	}
 	// Limit caps the result.
 	var lim rulesResponse
 	getJSON(t, ts.URL+"/rules?limit=1", &lim)
@@ -289,6 +299,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
+	// The mine wall is scraped in float seconds: a sub-second mine (every
+	// mine of this workload) must not read as 0.
+	wall := s.Published().Wall.Seconds()
+	if got := metricValue(t, string(body), "armined_snapshot_mine_wall_seconds"); got != wall || got <= 0 {
+		t.Errorf("armined_snapshot_mine_wall_seconds = %v, want the snapshot's %v", got, wall)
+	}
 
 	var h healthzResponse
 	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK || h.Status != "ok" {
@@ -296,6 +312,62 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if h.Ingested != int64(len(txs)) {
 		t.Fatalf("/healthz ingested %d, want %d", h.Ingested, len(txs))
+	}
+}
+
+// metricValue returns the value of an unlabelled sample in a Prometheus
+// text exposition.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", name)
+	return 0
+}
+
+// TestMaxItemLimit pins the ingest side of the item-id range: a universe
+// wider than the int32 ids is refused at construction, and at the limit an
+// id past 2³¹ is rejected instead of wrapping onto a small one.
+func TestMaxItemLimit(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("New accepted MaxItem 5e9")
+			}
+		}()
+		New(Config{Support: 0.1, MaxItem: 5_000_000_000})
+	}()
+	s := New(Config{Support: 0.1, MaxItem: MaxItemLimit})
+	if _, err := s.ValidateBatch([][]int64{{4294967297, 4294967298}}); err == nil {
+		t.Error("items 2³²+1 and 2³²+2 validated; they wrap to (1 2)")
+	}
+	batch, err := s.ValidateBatch([][]int64{{MaxItemLimit - 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := itemset.New(math.MaxInt32); !batch[0].Equal(want) {
+		t.Errorf("item 2³¹−1 validated as %v, want %v", batch[0], want)
+	}
+}
+
+// TestQueryRulesItemRange pins the query side below the HTTP layer: an id
+// past the int32 range matches no rule instead of wrapping onto a small
+// one.
+func TestQueryRulesItemRange(t *testing.T) {
+	rs := []rules.Rule{{Antecedent: itemset.New(1), Consequent: itemset.New(2), Support: 3, Confidence: 1}}
+	snap := newSnapshot(1, db.New(3), "seq", &apriori.Result{}, rs, 0)
+	if got := snap.QueryRules(0, 1, 0); len(got) != 1 {
+		t.Fatalf("QueryRules(item 1) returned %d rules, want 1", len(got))
+	}
+	if got := snap.QueryRules(0, 1+1<<32, 0); len(got) != 0 {
+		t.Errorf("QueryRules(item 2³²+1) returned %d rules, want none", len(got))
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/apriori"
@@ -68,7 +69,8 @@ func newSnapshot(gen int64, view *db.Database, engineName string, res *apriori.R
 }
 
 // QueryRules returns up to limit rules at or above minConf, optionally
-// restricted to rules mentioning item (item < 0 means no filter). The
+// restricted to rules mentioning item (item < 0 means no filter; an item
+// past the int32 id range matches no rule rather than wrapping). The
 // pre-sorted rule list makes the confidence cut a prefix: iteration stops
 // at the first rule below threshold. The returned slice is freshly
 // allocated; the rules it holds alias the immutable snapshot.
@@ -77,6 +79,9 @@ func (s *Snapshot) QueryRules(minConf float64, item int64, limit int) []rules.Ru
 		limit = len(s.Rules)
 	}
 	out := []rules.Rule{}
+	if item > math.MaxInt32 {
+		return out
+	}
 	if item >= 0 {
 		for _, idx := range s.byItem[itemset.Item(item)] {
 			r := s.Rules[idx]

@@ -320,7 +320,9 @@ type node struct {
 
 // task is one worker's DFS state, reused across the classes it claims.
 // Scratch buffers are caller-provided to the kernels (never allocated in
-// the hot path); the per-class output arena is fresh per class because the
+// the hot path); diffsets are carved from the two DFS-scoped stacks and
+// child lists reuse one slice per depth, so a class's DFS allocates only
+// its output. The per-class output arena is fresh per class because the
 // emitted itemsets alias it.
 type task struct {
 	lay      *Layout
@@ -330,22 +332,36 @@ type task struct {
 	work     int64
 
 	pfx   []itemset.Item // prefix stack, pfx[:depth] is the current prefix
+	kids  [][]node       // kids[d]: the reused node list grow(d) walks
+	words stack[uint64]  // bitmap diffsets of the live DFS path
+	tids  stack[int32]   // tidlist diffsets of the live DFS path
 	arena []itemset.Item // per-class backing store for emitted itemsets
 	out   [][]apriori.FrequentItemset
 }
 
+// stackBlockSets is how many full-width bitmaps one stack block holds. The
+// blocks a DFS needs then depend on how many diffsets its deepest path
+// keeps live, not on the transaction count.
+const stackBlockSets = 32
+
 func newTask(lay *Layout, minCount int64, maxK, maxDepth int) *task {
+	blockLen := stackBlockSets * max(lay.Words, 1)
 	return &task{
 		lay:      lay,
 		scr:      lay.NewScratch(),
 		minCount: minCount,
 		maxK:     maxK,
 		pfx:      make([]itemset.Item, maxDepth+1),
+		kids:     make([][]node, maxDepth+1),
+		words:    newStack[uint64](blockLen),
+		tids:     newStack[int32](blockLen),
 	}
 }
 
 // mineClass runs dEclat on the class anchored at heads[c] with tails
 // heads[c+1:], returning per-k result lists (index k, entries 0 and 1 nil).
+// Every diffset of the class lives on the task's stacks and is released
+// when the class returns.
 func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	t.out = make([][]apriori.FrequentItemset, 2)
 	t.arena = nil
@@ -354,9 +370,10 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	if t.maxK == 1 {
 		return t.out
 	}
+	wm, tm := t.words.mark(), t.tids.mark()
 	// Level 2: diffsets against the anchor's tidset, d(ab) = t(a) \ t(b),
 	// sup(ab) = sup(a) − |d(ab)|.
-	var children []node
+	children := t.kids[1][:0]
 	for j := c + 1; j < len(heads); j++ {
 		card, words, n := t.diffInto(anchor.s, heads[j].s)
 		sup := anchor.sup - card
@@ -364,16 +381,21 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 			children = append(children, node{item: heads[j].item, sup: sup, s: t.persist(card, words, n)})
 		}
 	}
+	t.kids[1] = children
 	if len(children) > 0 {
 		t.grow(1, children)
 	}
+	t.words.reset(wm)
+	t.tids.reset(tm)
 	return t.out
 }
 
 // grow emits every member of the class prefix pfx[:depth] × nodes and
 // recurses: extending member a by member b (a < b) has diffset d(P·a·b) =
 // d(P·b) \ d(P·a) and support sup(P·a) − |d(P·a·b)| — Zaki's dEclat
-// recurrence, which keeps shrinking the sets the deeper the DFS goes.
+// recurrence, which keeps shrinking the sets the deeper the DFS goes. The
+// diffsets of a's subtree are carved above the stack marks taken before it
+// and released when it returns; nodes' own diffsets sit below the marks.
 func (t *task) grow(depth int, nodes []node) {
 	k := depth + 1
 	for a := range nodes {
@@ -384,7 +406,8 @@ func (t *task) grow(depth int, nodes []node) {
 		if a == len(nodes)-1 {
 			continue
 		}
-		var next []node
+		wm, tm := t.words.mark(), t.tids.mark()
+		next := t.kids[k][:0]
 		for b := a + 1; b < len(nodes); b++ {
 			card, words, n := t.diffInto(nodes[b].s, nodes[a].s)
 			sup := nodes[a].sup - card
@@ -392,10 +415,13 @@ func (t *task) grow(depth int, nodes []node) {
 				next = append(next, node{item: nodes[b].item, sup: sup, s: t.persist(card, words, n)})
 			}
 		}
+		t.kids[k] = next
 		if len(next) > 0 {
 			t.pfx[depth] = nodes[a].item
 			t.grow(depth+1, next)
 		}
+		t.words.reset(wm)
+		t.tids.reset(tm)
 	}
 }
 
@@ -439,7 +465,7 @@ func (t *task) diffInto(x, y set) (card int64, words bool, n int) {
 	}
 }
 
-// persist copies a scratch-resident diffset into its long-lived form. A
+// persist copies a scratch-resident diffset onto the task's stacks. A
 // word-form result whose cardinality has dropped below one tid per word is
 // demoted to a sorted tidlist (the diffset switch-over rule): from there
 // on this subtree's kernels run in tidlist mode, matching the memory the
@@ -447,17 +473,59 @@ func (t *task) diffInto(x, y set) (card int64, words bool, n int) {
 func (t *task) persist(card int64, words bool, n int) set {
 	if words {
 		if card >= int64(t.lay.Words) {
-			out := make([]uint64, t.lay.Words)
+			out := t.words.alloc(t.lay.Words)
 			copy(out, t.scr.Words)
 			return set{words: out, card: card}
 		}
-		m := ExtractInto(t.scr.A, t.scr.Words)
-		t.work += int64(t.lay.Words)*WorkWordOp + int64(m)*WorkTidOp
-		out := make([]int32, m)
-		copy(out, t.scr.A)
-		return set{list: out, card: card}
+		n = ExtractInto(t.scr.A, t.scr.Words)
+		t.work += int64(t.lay.Words)*WorkWordOp + int64(n)*WorkTidOp
 	}
-	out := make([]int32, n)
+	out := t.tids.alloc(n)
 	copy(out, t.scr.A[:n])
 	return set{list: out, card: card}
+}
+
+// stack is a mark/reset allocator for one task's diffsets: a list of
+// blocks carved front to back. A DFS subtree carves above the mark taken
+// when it starts and releases everything at once by resetting to that mark
+// when it returns, so the blocks are reused by every later subtree and
+// class instead of becoming garbage. Blocks are allocated only when the
+// DFS path holds more live diffsets than ever before.
+type stack[T uint64 | int32] struct {
+	blocks   [][]T
+	cur, off int // carving position: blocks[cur][off:] is free
+	blockLen int // minimum block length
+}
+
+// stackMark is a carving position to reset a stack to.
+type stackMark struct{ cur, off int }
+
+func newStack[T uint64 | int32](blockLen int) stack[T] {
+	return stack[T]{blocks: make([][]T, 1), blockLen: blockLen}
+}
+
+func (s *stack[T]) mark() stackMark { return stackMark{s.cur, s.off} }
+
+// reset releases everything carved since m was taken.
+func (s *stack[T]) reset(m stackMark) { s.cur, s.off = m.cur, m.off }
+
+// alloc carves n elements, capacity-capped so an append to the result can
+// never run into its neighbour. The elements hold stale data.
+func (s *stack[T]) alloc(n int) []T {
+	if s.off+n > len(s.blocks[s.cur]) {
+		if s.off > 0 {
+			s.cur, s.off = s.cur+1, 0
+			if s.cur == len(s.blocks) {
+				s.blocks = append(s.blocks, nil)
+			}
+		}
+		// Everything from blocks[cur] on is free, so a block too short
+		// for n can be replaced.
+		if len(s.blocks[s.cur]) < n {
+			s.blocks[s.cur] = make([]T, max(n, s.blockLen))
+		}
+	}
+	out := s.blocks[s.cur][s.off : s.off+n : s.off+n]
+	s.off += n
+	return out
 }

@@ -65,10 +65,10 @@ func sameResult(t *testing.T, label string, got, want *apriori.Result) {
 func TestMineProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	shapes := []struct {
-		name     string
-		n, d     int
-		density  float64
-		support  float64
+		name    string
+		n, d    int
+		density float64
+		support float64
 	}{
 		{"dense", 12, 200, 0.5, 0.1},
 		{"sparse", 40, 300, 0.03, 0.01},
@@ -228,5 +228,36 @@ func TestModelPinned(t *testing.T) {
 	}
 	if schedSum != classSum {
 		t.Errorf("GreedySchedule lost work: %d != %d", schedSum, classSum)
+	}
+}
+
+// TestMineAllocsIndependentOfD gates the DFS-scoped diffset stacks: at
+// Procs=1 a dense mine allocates the same number of objects at D and 2D
+// transactions, within a small constant, and far fewer objects than it
+// finds frequent itemsets. A slice per diffset fails both bounds: there
+// are more diffsets than frequent itemsets, and their number moves with
+// the data. Only the output and the stack blocks (sized in whole bitmaps)
+// may allocate.
+func TestMineAllocsIndependentOfD(t *testing.T) {
+	var allocs [2]float64
+	var frequent int
+	for i, n := range []int{3000, 6000} {
+		d, err := gen.Generate(gen.Params{N: 60, L: 30, T: 12, I: 4, D: n, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(3, func() {
+			res, _, err := MineCtx(context.Background(), d, Options{MinSupport: 0.02, Procs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frequent = res.NumFrequent()
+		})
+		if allocs[i] > float64(frequent)/4 {
+			t.Errorf("D=%d: %.0f allocs for %d frequent itemsets, want < 1 per 4", n, allocs[i], frequent)
+		}
+	}
+	if diff := allocs[1] - allocs[0]; diff > 128 || diff < -128 {
+		t.Errorf("allocs at D=3000: %.0f, at D=6000: %.0f; want equal within 128", allocs[0], allocs[1])
 	}
 }
