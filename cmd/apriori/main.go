@@ -461,6 +461,9 @@ func printStats(st *engine.Stats, verbose bool) {
 			v := st.VBit
 			fmt.Printf("  classes=%d columns=%d bitmap/%d tidlist modeltime=%d totalwork=%d\n",
 				v.Classes, v.DenseItems, v.SparseItems, v.ModelTime(), v.TotalWork())
+			if v.PairWork != nil {
+				fmt.Printf("  pair pass %v pairwork=%v\n", v.Pairs, v.PairWork)
+			}
 		}
 	case st.VBitSegmented != nil:
 		fmt.Printf("total time: %v (%d levels)\n", st.Total, st.VBitSegmented.Levels)
@@ -468,8 +471,13 @@ func printStats(st *engine.Stats, verbose bool) {
 		fmt.Printf("total time: %v (counting %v)\n", st.Total, st.Count)
 		if verbose {
 			for _, it := range st.CCPD.PerIter {
-				fmt.Printf("  k=%-2d cands=%-7d freq=%-7d gen=%v build=%v count=%v reduce=%v\n",
-					it.K, it.Candidates, it.Frequent, it.CandGen, it.TreeBuild, it.Count, it.Reduce)
+				if it.Paired() {
+					fmt.Printf("  k=%-2d cands=%-7d freq=%-7d pair pass: pairs=%v reduce=%v\n",
+						it.K, it.Candidates, it.Frequent, it.Count, it.Reduce)
+				} else {
+					fmt.Printf("  k=%-2d cands=%-7d freq=%-7d gen=%v build=%v count=%v reduce=%v\n",
+						it.K, it.Candidates, it.Frequent, it.CandGen, it.TreeBuild, it.Count, it.Reduce)
+				}
 				if it.ChunksClaimed != nil {
 					var steals int64
 					for _, s := range it.Steals {

@@ -36,7 +36,7 @@ func main() {
 		support  = flag.Float64("support", 0.01, "minimum support fraction for re-mines")
 		conf     = flag.Float64("rules", 0.5, "minimum confidence for generated rules")
 		maxCons  = flag.Int("max-consequent", 0, "max consequent size (0 = unbounded)")
-		procs    = flag.Int("procs", 4, "worker count for parallel engines")
+		procs    = flag.Int("procs", serve.DefaultProcs(), "worker count for parallel engines; the default leaves one core to serving")
 		algo     = flag.String("algo", "auto", "engine name, or auto for the cost-based planner")
 		maxK     = flag.Int("maxk", 0, "max itemset size (0 = fixpoint)")
 		interval = flag.Duration("remine-interval", 100*time.Millisecond, "debounce between re-mines")

@@ -19,12 +19,12 @@ func TestCeilSupport(t *testing.T) {
 		n    int
 		want int64
 	}{
-		{0.01, 300, 3},    // 2.999…97 → exact 3, the regression case
-		{0.1, 300, 30},    // 30.000…004 → exact 30, guard in the other direction
-		{0.005, 1000, 5},  // exact
-		{0.0033, 1000, 4}, // 3.3 → genuine ceiling
-		{0.5, 3, 2},       // 1.5 → 2
-		{0.2, 4, 1},       // 0.8 → 1
+		{0.01, 300, 3},     // 2.999…97 → exact 3, the regression case
+		{0.1, 300, 30},     // 30.000…004 → exact 30, guard in the other direction
+		{0.005, 1000, 5},   // exact
+		{0.0033, 1000, 4},  // 3.3 → genuine ceiling
+		{0.5, 3, 2},        // 1.5 → 2
+		{0.2, 4, 1},        // 0.8 → 1
 		{0.000001, 100, 1}, // floor would be 0; threshold never drops below 1
 		{0, 100, 1},
 	}

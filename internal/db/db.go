@@ -141,7 +141,7 @@ func (d *Database) SnapshotView() *Database {
 	m := len(d.arena)
 	return &Database{
 		tids:    d.tids[:n:n],
-		offsets: d.offsets[:n+1 : n+1],
+		offsets: d.offsets[: n+1 : n+1],
 		arena:   d.arena[:m:m],
 		numItem: d.numItem,
 	}
@@ -160,6 +160,7 @@ func (d *Database) TID(i int) int64 { return d.tids[i] }
 // the database arena and must not be modified.
 //
 //armlint:itersrc
+//armlint:noalloc
 func (d *Database) Items(i int) itemset.Itemset {
 	return itemset.Itemset(d.arena[d.offsets[i]:d.offsets[i+1]])
 }

@@ -47,6 +47,10 @@ const (
 	PhaseCount
 	// PhaseReduce is counter reduction plus frequent extraction.
 	PhaseReduce
+	// PhasePairs is the k=2 pair pass: every pair of a transaction's
+	// frequent items counted into a private triangle per worker, in place
+	// of candidate generation, tree build and the hash-tree count.
+	PhasePairs
 	numPhases
 )
 
@@ -62,6 +66,8 @@ func (p Phase) String() string {
 		return "count"
 	case PhaseReduce:
 		return "reduce"
+	case PhasePairs:
+		return "pairs"
 	}
 	return "unknown"
 }

@@ -130,8 +130,8 @@ func TestImplausibleLengths(t *testing.T) {
 		off  int
 		val  byte
 	}{
-		{"huge numK", numKOff + 7, 0x7f},      // top byte of numK → ~2^62
-		{"negative numK", numKOff + 7, 0xff},  // sign bit set
+		{"huge numK", numKOff + 7, 0x7f},          // top byte of numK → ~2^62
+		{"negative numK", numKOff + 7, 0xff},      // sign bit set
 		{"huge set count", numKOff + 8 + 7, 0x7f}, // ByK[0] count
 	}
 	for _, c := range cases {

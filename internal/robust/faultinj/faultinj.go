@@ -38,7 +38,7 @@ const Wildcard = -1
 // use Wildcard (-1) for "any"; Phase "" matches any phase.
 type Rule struct {
 	// Phase matches the mining phase label ("f1", "gen", "build", "count",
-	// "reduce"); "" matches every phase.
+	// "pairs", "reduce"); "" matches every phase.
 	Phase string
 	// K matches the iteration (Wildcard = any).
 	K int

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,6 +101,21 @@ func getJSON(t *testing.T, url string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// TestDefaultProcs: an unset Procs leaves one core to serving, and a set one
+// is kept.
+func TestDefaultProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ maxprocs, want int }{{1, 1}, {2, 1}, {4, 3}} {
+		runtime.GOMAXPROCS(tc.maxprocs)
+		if got := (Config{Support: 0.1}).withDefaults().Procs; got != tc.want {
+			t.Errorf("GOMAXPROCS=%d: default Procs = %d, want %d", tc.maxprocs, got, tc.want)
+		}
+	}
+	if got := (Config{Support: 0.1, Procs: 7}).withDefaults().Procs; got != 7 {
+		t.Errorf("explicit Procs = %d, want 7", got)
+	}
 }
 
 // TestPublishedSnapshotMatchesBatch is the service's exactness guarantee:

@@ -123,11 +123,11 @@ func TestKernelAllocs(t *testing.T) {
 	out := make([]int32, n)
 	var sink int64
 	cases := map[string]func(){
-		"AndCount":     func() { sink += AndCount(aw, bw) },
-		"AndCount3":    func() { sink += AndCount3(aw, bw, cw) },
-		"AndInto":      func() { sink += AndInto(dst, aw, bw) },
-		"AndNotInto":   func() { sink += AndNotInto(dst, aw, bw) },
-		"ExtractInto":  func() { sink += int64(ExtractInto(out, aw)) },
+		"AndCount":    func() { sink += AndCount(aw, bw) },
+		"AndCount3":   func() { sink += AndCount3(aw, bw, cw) },
+		"AndInto":     func() { sink += AndInto(dst, aw, bw) },
+		"AndNotInto":  func() { sink += AndNotInto(dst, aw, bw) },
+		"ExtractInto": func() { sink += int64(ExtractInto(out, aw)) },
 		"IntersectInto": func() {
 			sink += int64(IntersectInto(out, al, bl))
 		},
