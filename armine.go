@@ -205,11 +205,10 @@ const (
 )
 
 // Counting-phase database partition modes for ParallelOptions: the static
-// splits of Section 3.2.2 plus the dynamic chunk-claiming schedulers.
+// splits of Section 3.2.2 plus the work-stealing chunk scheduler.
 const (
 	PartitionBlock    = ccpd.PartitionBlock
 	PartitionWorkload = ccpd.PartitionWorkload
-	PartitionDynamic  = ccpd.PartitionDynamic
 	PartitionStealing = ccpd.PartitionStealing
 )
 
@@ -334,30 +333,11 @@ func MineVBitCtx(ctx context.Context, d *Database, opts VBitOptions) (*Result, *
 	return vbit.MineCtx(ctx, d, opts)
 }
 
-// Engine identifies a counting engine for the auto-selector.
-type Engine = vbit.Engine
-
-// Engines the auto-selector chooses between.
-const (
-	EngineCCPD = vbit.EngineCCPD
-	EngineVBit = vbit.EngineVBit
-)
-
-// DBStats are the database statistics the engine selector decides on.
-type DBStats = vbit.DBStats
-
-// CharacterizeDB computes selector statistics for a database in O(1).
-func CharacterizeDB(d *Database) DBStats { return vbit.Characterize(d) }
-
-// SelectEngine picks the hash-tree (CCPD) or vertical bitmap (vbit) engine
-// from database statistics — the -algo auto policy.
-func SelectEngine(s DBStats) Engine { return vbit.AutoSelect(s) }
-
 // --- Unified engine interface and the cost-based planner. ---
 
 // Miner is the unified engine interface: every mining engine — sequential
-// Apriori, CCPD, PCCD, eclat, the vertical bitmap engine and the sampling
-// evaluation — dispatches through it with one engine-independent Spec.
+// Apriori, CCPD, PCCD, eclat and the vertical bitmap engine — dispatches
+// through it with one engine-independent Spec.
 type Miner = engine.Miner
 
 // SegmentedMiner is a Miner with an out-of-core path over segmented stores.
@@ -367,7 +347,7 @@ type SegmentedMiner = engine.SegmentedMiner
 type Resumer = engine.Resumer
 
 // EngineCaps are a Miner's capability flags (parallel, cancellation,
-// checkpoint/resume, segmented, exact).
+// checkpoint/resume, segmented).
 type EngineCaps = engine.Caps
 
 // EngineSpec is the engine-independent mining request a Miner lowers onto
@@ -403,6 +383,10 @@ type PlannerEstimate = engine.Estimate
 
 // PlannerDBInfo are the database statistics the planner decides on.
 type PlannerDBInfo = engine.DBInfo
+
+// DBStats are the O(1) header statistics (D, N, mean length, density)
+// embedded in PlannerDBInfo.
+type DBStats = vbit.DBStats
 
 // CharacterizePlanner computes planner statistics for an in-memory database.
 func CharacterizePlanner(d *Database) PlannerDBInfo { return engine.Characterize(d) }

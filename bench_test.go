@@ -322,7 +322,7 @@ func BenchmarkCounting(b *testing.B) {
 
 // BenchmarkCountKernel is the allocation-visible view of the frozen-flat
 // counting kernel: one full database pass per op over a K=3 tree, reported
-// with allocs/op (must be 0) for each counter mode, batched and not. This is
+// with allocs/op (must be 0) for each counter mode. This is
 // the benchmark cmd/benchjson snapshots into BENCH_counting.json.
 func BenchmarkCountKernel(b *testing.B) {
 	d := benchDB(b, 10, 4, 1000)
@@ -347,26 +347,17 @@ func BenchmarkCountKernel(b *testing.B) {
 	for _, mode := range []hashtree.CounterMode{
 		hashtree.CounterLocked, hashtree.CounterAtomic, hashtree.CounterPrivate,
 	} {
-		for _, batch := range []bool{false, true} {
-			name := mode.String()
-			if batch {
-				name += "-batched"
-			}
-			b.Run(name, func(b *testing.B) {
-				counters := hashtree.NewCounters(mode, tree.NumCandidates(), 1)
-				ctx := tree.NewCountCtx(counters, hashtree.CountOpts{
-					ShortCircuit: true, BatchUpdates: batch,
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for t := 0; t < d.Len(); t++ {
-						ctx.CountTransaction(d.Items(t))
-					}
-					ctx.Flush()
+		b.Run(mode.String(), func(b *testing.B) {
+			counters := hashtree.NewCounters(mode, tree.NumCandidates(), 1)
+			ctx := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: true})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for t := 0; t < d.Len(); t++ {
+					ctx.CountTransaction(d.Items(t))
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 // Command apriori mines association rules from a database file (or a
 // freshly generated synthetic database) through the unified engine registry:
-// the sequential algorithm, the parallel CCPD/PCCD algorithms, the vertical
-// engines (eclat, vbit) and the sampling evaluation all dispatch through
-// engine.Miner, with every optimization switchable from the command line.
+// the sequential algorithm, the parallel CCPD/PCCD algorithms and the
+// vertical engines (eclat, vbit) all dispatch through engine.Miner, with
+// every optimization switchable from the command line. The Section 7
+// baselines and the sampling study run outside the registry.
 // -algo auto hands the choice to the cost-based planner, which picks engine,
 // counting partition and chunk size from the database's statistics (density,
 // skew, size) and the -mem-budget.
@@ -35,6 +36,7 @@ import (
 	"repro/internal/hashtree"
 	"repro/internal/obs"
 	"repro/internal/rules"
+	"repro/internal/sampling"
 )
 
 var genRe = regexp.MustCompile(`^T(\d+)\.I(\d+)\.D(\d+)([KM]?)$`)
@@ -159,8 +161,8 @@ func main() {
 	flag.StringVar(&o.Balance, "balance", "bitonic", "computation balancing: block | interleaved | bitonic")
 	flag.StringVar(&o.Hash, "hash", "bitonic", "hash tree balancing: interleaved | bitonic")
 	flag.StringVar(&o.Counter, "counter", "private", "counter mode: locked | atomic | private")
-	flag.StringVar(&o.DBPart, "dbpart", "block", "counting DB partition: block | workload | dynamic | stealing")
-	flag.IntVar(&o.ChunkSize, "chunk", 256, "transactions per dynamic chunk / cancellation poll stride")
+	flag.StringVar(&o.DBPart, "dbpart", "block", "counting DB partition: block | workload | stealing")
+	flag.IntVar(&o.ChunkSize, "chunk", 256, "transactions per stealing chunk / cancellation poll stride")
 	flag.BoolVar(&o.SC, "shortcircuit", true, "short-circuited subset checking")
 	flag.IntVar(&o.Threshold, "threshold", 8, "hash tree leaf threshold")
 	flag.IntVar(&o.Fanout, "fanout", 0, "hash tree fanout (0 = adaptive)")
@@ -187,13 +189,18 @@ func main() {
 	}
 }
 
-// baselineAlgos are the Section 7 comparison algorithms (DHP, Partition,
-// Count Distribution): reference implementations with their own stats, not
-// engines — they stay outside the registry and have no out-of-core path.
-var baselineAlgos = map[string]bool{"dhp": true, "partition": true, "countdist": true}
+// baselineAlgos are the algorithms outside the engine registry: the
+// Section 7 comparison algorithms (DHP, Partition, Count Distribution) and
+// the sampling study. They are reference implementations with their own
+// stats, not engines, and have no out-of-core path.
+var baselineAlgos = map[string]bool{"dhp": true, "partition": true, "countdist": true, "sampling": true}
 
 func run(o cliOptions) error {
 	if err := validate(o); err != nil {
+		return err
+	}
+	spec, err := buildSpec(o)
+	if err != nil {
 		return err
 	}
 
@@ -247,15 +254,9 @@ func run(o cliOptions) error {
 
 	var budget int64
 	if o.MemBudget != "" {
-		var err error
 		if budget, err = parseByteSize(o.MemBudget); err != nil {
 			return err
 		}
-	}
-
-	spec, err := buildSpec(o)
-	if err != nil {
-		return err
 	}
 	spec.MemBudget = budget
 
@@ -345,7 +346,8 @@ func run(o cliOptions) error {
 	return exportObs(rec, o.TracePath, o.MetricsTo)
 }
 
-// buildSpec maps the CLI's string knobs onto the engine-independent Spec.
+// buildSpec maps the CLI's string knobs onto the engine-independent Spec,
+// rejecting any mode value it does not know as a usage error.
 func buildSpec(o cliOptions) (engine.Spec, error) {
 	s := engine.Spec{
 		Mining: apriori.Options{
@@ -354,14 +356,23 @@ func buildSpec(o cliOptions) (engine.Spec, error) {
 		},
 		Procs: o.Procs, ChunkSize: o.ChunkSize, Checkpoint: o.Checkpoint,
 	}
-	if o.Hash == "bitonic" {
+	switch o.Hash {
+	case "interleaved":
+		s.Mining.Hash = hashtree.HashInterleaved
+	case "bitonic":
 		s.Mining.Hash = hashtree.HashBitonic
+	default:
+		return s, usagef("unknown -hash %q (want interleaved | bitonic)", o.Hash)
 	}
 	switch o.Balance {
+	case "block":
+		s.Balance = ccpd.BalanceBlock
 	case "interleaved":
 		s.Balance = ccpd.BalanceInterleaved
 	case "bitonic":
 		s.Balance = ccpd.BalanceBitonic
+	default:
+		return s, usagef("unknown -balance %q (want block | interleaved | bitonic)", o.Balance)
 	}
 	switch o.Counter {
 	case "locked":
@@ -370,26 +381,36 @@ func buildSpec(o cliOptions) (engine.Spec, error) {
 		s.Counter = hashtree.CounterAtomic
 	case "private":
 		s.Counter = hashtree.CounterPrivate
+	default:
+		return s, usagef("unknown -counter %q (want locked | atomic | private)", o.Counter)
 	}
 	switch o.DBPart {
 	case "block":
 		s.DBPart = ccpd.PartitionBlock
 	case "workload":
 		s.DBPart = ccpd.PartitionWorkload
-	case "dynamic":
-		s.DBPart = ccpd.PartitionDynamic
 	case "stealing":
 		s.DBPart = ccpd.PartitionStealing
 	default:
-		return s, fmt.Errorf("unknown -dbpart %q", o.DBPart)
+		return s, usagef("unknown -dbpart %q (want block | workload | stealing)", o.DBPart)
 	}
 	return s, nil
 }
 
-// runBaseline runs one of the Section 7 baseline algorithms, printing its
+// runBaseline runs one of the algorithms outside the registry, printing its
 // algorithm-specific statistics.
 func runBaseline(algo string, d *db.Database, opts apriori.Options, o cliOptions) (*apriori.Result, error) {
 	switch algo {
+	case "sampling":
+		// The study mines a uniform random sample at a slacked support and
+		// the full database, and returns the exact full-database result.
+		acc, res, err := sampling.Evaluate(d, sampling.Options{Mining: opts})
+		if err == nil {
+			fmt.Printf("sampling: %d rows sampled, precision %.3f recall %.3f (TP %d FP %d FN %d)\n",
+				acc.SampleSize, acc.Precision(), acc.Recall(),
+				acc.TruePositives, acc.FalsePositives, acc.FalseNegatives)
+		}
+		return res, err
 	case "dhp":
 		res, st, err := baseline.MineDHP(d, baseline.DHPOptions{Mining: opts})
 		if err == nil {
@@ -488,12 +509,6 @@ func printStats(st *engine.Stats, verbose bool) {
 				}
 			}
 		}
-	case st.Sampling != nil:
-		acc := st.Sampling
-		fmt.Printf("total time: %v\n", st.Total)
-		fmt.Printf("sampling: %d rows sampled, precision %.3f recall %.3f (TP %d FP %d FN %d)\n",
-			acc.SampleSize, acc.Precision(), acc.Recall(),
-			acc.TruePositives, acc.FalsePositives, acc.FalseNegatives)
 	case st.Total > 0:
 		fmt.Printf("total time: %v\n", st.Total)
 	}

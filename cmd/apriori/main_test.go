@@ -59,7 +59,7 @@ func TestRunEndToEnd(t *testing.T) {
 	os.Stdout = devnull
 	defer func() { os.Stdout = old; devnull.Close() }()
 
-	for _, algo := range []string{"seq", "ccpd", "pccd", "dhp", "partition", "countdist", "eclat", "vbit", "auto"} {
+	for _, algo := range []string{"seq", "ccpd", "pccd", "dhp", "partition", "countdist", "sampling", "eclat", "vbit", "auto"} {
 		o := base()
 		o.Algo = algo
 		o.RuleConf = 0.8
@@ -69,7 +69,7 @@ func TestRunEndToEnd(t *testing.T) {
 		}
 	}
 	// Dynamic counting partitions through the CLI surface.
-	for _, dbpart := range []string{"workload", "dynamic", "stealing"} {
+	for _, dbpart := range []string{"workload", "stealing"} {
 		o := base()
 		o.DBPart = dbpart
 		o.ChunkSize = 32
@@ -164,7 +164,7 @@ func TestRunSegmentedStore(t *testing.T) {
 		o.GenSpec = ""
 		o.DBPath = path
 		o.MMap = true
-		o.DBPart = "dynamic"
+		o.DBPart = "stealing"
 		o.ChunkSize = 32
 		if err := run(o); err != nil {
 			// mmap may be unavailable on some platforms; only real mining
@@ -223,8 +223,10 @@ func TestParseByteSize(t *testing.T) {
 }
 
 // TestValidateFlags pins the CLI validation contract: out-of-range flag
-// values are rejected up front as usage errors (exit code 2 from main), and
-// the boundary values inside the valid range are accepted.
+// values and unknown mode names (a misspelled -counter, -balance, -hash or
+// -dbpart, including the retired "dynamic" partition) are rejected up front
+// as usage errors (exit code 2 from main), never run with a silent default,
+// and the boundary values and every documented mode name are accepted.
 func TestValidateFlags(t *testing.T) {
 	old := os.Stdout
 	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -247,6 +249,11 @@ func TestValidateFlags(t *testing.T) {
 		{"threshold zero", func(o *cliOptions) { o.Threshold = 0 }},
 		{"resume without checkpoint", func(o *cliOptions) { o.Resume = true }},
 		{"checkpoint with seq", func(o *cliOptions) { o.Checkpoint = "x.ckpt"; o.Algo = "seq" }},
+		{"counter misspelled", func(o *cliOptions) { o.Counter = "privat" }},
+		{"balance misspelled", func(o *cliOptions) { o.Balance = "bitonicc" }},
+		{"hash unknown", func(o *cliOptions) { o.Hash = "foo" }},
+		{"dbpart unknown", func(o *cliOptions) { o.DBPart = "foo" }},
+		{"dbpart dynamic", func(o *cliOptions) { o.DBPart = "dynamic" }},
 	}
 	for _, c := range cases {
 		o := base()
@@ -270,6 +277,13 @@ func TestValidateFlags(t *testing.T) {
 		{"support one", func(o *cliOptions) { o.Support = 1 }},
 		{"procs one", func(o *cliOptions) { o.Procs = 1 }},
 		{"chunk one", func(o *cliOptions) { o.ChunkSize = 1 }},
+		{"counter locked", func(o *cliOptions) { o.Counter = "locked" }},
+		{"counter atomic", func(o *cliOptions) { o.Counter = "atomic" }},
+		{"balance block", func(o *cliOptions) { o.Balance = "block" }},
+		{"balance interleaved", func(o *cliOptions) { o.Balance = "interleaved" }},
+		{"hash interleaved", func(o *cliOptions) { o.Hash = "interleaved" }},
+		{"dbpart workload", func(o *cliOptions) { o.DBPart = "workload" }},
+		{"dbpart stealing", func(o *cliOptions) { o.DBPart = "stealing" }},
 	} {
 		o := base()
 		c.tweak(&o)

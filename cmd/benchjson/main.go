@@ -5,10 +5,14 @@
 // artifact diff rather than a buried log line.
 //
 // With -scaling it instead runs the full miner across processor counts and
-// counting-partition modes (static block/workload vs dynamic cursor/stealing)
-// on a uniform and a skew-planted database and writes BENCH_scaling.json,
-// including a deterministic verdict: dynamic must cut the modelled idle work
+// counting-partition modes (static block/workload vs work stealing) on a
+// uniform and a skew-planted database and writes BENCH_scaling.json,
+// including a deterministic verdict: stealing must cut the modelled idle work
 // on the skewed database and stay within 5% modelled time on the uniform one.
+//
+// Both reports are stamped with the Go version, architecture, CPU count,
+// GOMAXPROCS and the git revision the binary was built from. go run does not
+// record the revision, so write committed snapshots from a built binary.
 //
 // Besides the hash-tree counter-mode sweep, the default run compares the two
 // counting engines head to head: EngineKernel/{dense,sparse}/{hashtree,vbit}
@@ -40,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -155,9 +160,46 @@ type plannerSection struct {
 	Verdict plannerVerdict `json:"verdict"`
 }
 
+// host stamps a report with the toolchain, machine and source revision it
+// was measured on.
+type host struct {
+	GoVersion  string `json:"go_version"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Revision is the git commit the binary was built from, suffixed
+	// "-dirty" for a modified tree; "unknown" under go run.
+	Revision string `json:"revision"`
+}
+
+func thisHost() host {
+	h := host{
+		GoVersion: runtime.Version(), GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Revision: "unknown",
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, modified string
+		for _, st := range bi.Settings {
+			switch st.Key {
+			case "vcs.revision":
+				rev = st.Value
+			case "vcs.modified":
+				modified = st.Value
+			}
+		}
+		if rev != "" {
+			h.Revision = rev
+			if modified == "true" {
+				h.Revision += "-dirty"
+			}
+		}
+	}
+	return h
+}
+
 type report struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
+	host
 	// TxPerOp is how many transactions one benchmark op counts; ns_per_op /
 	// tx_per_op gives per-transaction cost.
 	TxPerOp int      `json:"tx_per_op"`
@@ -255,12 +297,7 @@ func main() {
 	}
 	const k = 3
 
-	rep := report{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		TxPerOp:   d.Len(),
-		K:         k,
-	}
+	rep := report{host: thisHost(), TxPerOp: d.Len(), K: k}
 	if *engineSel != "vbit" {
 		cands, err := kCandidates(d, k)
 		if err != nil {
@@ -273,27 +310,19 @@ func main() {
 		for _, mode := range []hashtree.CounterMode{
 			hashtree.CounterLocked, hashtree.CounterAtomic, hashtree.CounterPrivate,
 		} {
-			for _, batch := range []bool{false, true} {
-				name := "CountKernel/" + mode.String()
-				if batch {
-					name += "-batched"
-				}
-				counters := hashtree.NewCounters(mode, tree.NumCandidates(), 1)
-				ctx := tree.NewCountCtx(counters, hashtree.CountOpts{
-					ShortCircuit: true, BatchUpdates: batch,
-				})
-				best := bestOf3(name, "hashtree", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for t := 0; t < d.Len(); t++ {
-							ctx.CountTransaction(d.Items(t))
-						}
-						ctx.Flush()
+			name := "CountKernel/" + mode.String()
+			counters := hashtree.NewCounters(mode, tree.NumCandidates(), 1)
+			ctx := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: true})
+			best := bestOf3(name, "hashtree", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for t := 0; t < d.Len(); t++ {
+						ctx.CountTransaction(d.Items(t))
 					}
-				})
-				rep.Results = append(rep.Results, best)
-				fmt.Printf("%-32s %12.0f ns/op %6d allocs/op\n",
-					name, best.NsPerOp, best.AllocsPerOp)
-			}
+				}
+			})
+			rep.Results = append(rep.Results, best)
+			fmt.Printf("%-32s %12.0f ns/op %6d allocs/op\n",
+				name, best.NsPerOp, best.AllocsPerOp)
 		}
 	}
 
@@ -570,7 +599,6 @@ func runEngineRows(rep *report, dsize, k int, engine string) error {
 					for t := 0; t < d.Len(); t++ {
 						ctx.CountTransaction(d.Items(t))
 					}
-					ctx.Flush()
 				}
 			})
 			ns[spec.label+"/hashtree"] = best.NsPerOp
@@ -688,21 +716,19 @@ type scalingRow struct {
 }
 
 type scalingVerdict struct {
-	// Skewed database, highest processor count: dynamic idle and modelled
+	// Skewed database, highest processor count: stealing idle and modelled
 	// time must beat the static block partition.
-	SkewedIdleBlock   int64 `json:"skewed_idle_block"`
-	SkewedIdleDynamic int64 `json:"skewed_idle_dynamic"`
-	SkewedModelBlock  int64 `json:"skewed_model_block"`
-	SkewedModelDyn    int64 `json:"skewed_model_dynamic"`
-	// Uniform database: dynamic modelled time must stay within 5% of block.
+	SkewedIdleBlock     int64 `json:"skewed_idle_block"`
+	SkewedIdleStealing  int64 `json:"skewed_idle_stealing"`
+	SkewedModelBlock    int64 `json:"skewed_model_block"`
+	SkewedModelStealing int64 `json:"skewed_model_stealing"`
+	// Uniform database: stealing modelled time must stay within 5% of block.
 	UniformRegressPct float64 `json:"uniform_regress_pct"`
 	Pass              bool    `json:"pass"`
 }
 
 type scalingReport struct {
-	GoVersion string         `json:"go_version"`
-	GOARCH    string         `json:"goarch"`
-	NumCPU    int            `json:"num_cpu"`
+	host
 	ChunkSize int            `json:"chunk_size"`
 	Rows      []scalingRow   `json:"rows"`
 	Verdict   scalingVerdict `json:"verdict"`
@@ -716,14 +742,8 @@ func runScaling(out string, dsize int) error {
 	skewed := uniform
 	skewed.SkewFrac, skewed.SkewMult = 0.05, 8
 
-	rep := scalingReport{
-		GoVersion: runtime.Version(), GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(), ChunkSize: chunk,
-	}
-	parts := []ccpd.DBPartition{
-		ccpd.PartitionBlock, ccpd.PartitionWorkload,
-		ccpd.PartitionDynamic, ccpd.PartitionStealing,
-	}
+	rep := scalingReport{host: thisHost(), ChunkSize: chunk}
+	parts := []ccpd.DBPartition{ccpd.PartitionBlock, ccpd.PartitionWorkload, ccpd.PartitionStealing}
 	procsList := []int{1, 2, 4, 8}
 	idle := map[string]int64{}  // dataset/procs/part → idle work
 	model := map[string]int64{} // dataset/procs/part → model time
@@ -774,16 +794,16 @@ func runScaling(out string, dsize int) error {
 	top := procsList[len(procsList)-1]
 	v := &rep.Verdict
 	v.SkewedIdleBlock = idle[fmt.Sprintf("skewed/%d/%s", top, ccpd.PartitionBlock)]
-	v.SkewedIdleDynamic = idle[fmt.Sprintf("skewed/%d/%s", top, ccpd.PartitionDynamic)]
+	v.SkewedIdleStealing = idle[fmt.Sprintf("skewed/%d/%s", top, ccpd.PartitionStealing)]
 	v.SkewedModelBlock = model[fmt.Sprintf("skewed/%d/%s", top, ccpd.PartitionBlock)]
-	v.SkewedModelDyn = model[fmt.Sprintf("skewed/%d/%s", top, ccpd.PartitionDynamic)]
+	v.SkewedModelStealing = model[fmt.Sprintf("skewed/%d/%s", top, ccpd.PartitionStealing)]
 	ub := model[fmt.Sprintf("uniform/%d/%s", top, ccpd.PartitionBlock)]
-	ud := model[fmt.Sprintf("uniform/%d/%s", top, ccpd.PartitionDynamic)]
+	us := model[fmt.Sprintf("uniform/%d/%s", top, ccpd.PartitionStealing)]
 	if ub > 0 {
-		v.UniformRegressPct = 100 * (float64(ud)/float64(ub) - 1)
+		v.UniformRegressPct = 100 * (float64(us)/float64(ub) - 1)
 	}
-	v.Pass = v.SkewedIdleDynamic < v.SkewedIdleBlock &&
-		v.SkewedModelDyn < v.SkewedModelBlock &&
+	v.Pass = v.SkewedIdleStealing < v.SkewedIdleBlock &&
+		v.SkewedModelStealing < v.SkewedModelBlock &&
 		v.UniformRegressPct < 5.0
 	if err := writeJSON(out, rep); err != nil {
 		return err
@@ -791,7 +811,7 @@ func runScaling(out string, dsize int) error {
 	fmt.Printf("wrote %s\n", out)
 	if !v.Pass {
 		return fmt.Errorf("scaling verdict failed: skewed idle %d vs %d, model %d vs %d, uniform regress %.2f%%",
-			v.SkewedIdleDynamic, v.SkewedIdleBlock, v.SkewedModelDyn, v.SkewedModelBlock, v.UniformRegressPct)
+			v.SkewedIdleStealing, v.SkewedIdleBlock, v.SkewedModelStealing, v.SkewedModelBlock, v.UniformRegressPct)
 	}
 	fmt.Println("scaling verdict: pass")
 	return nil

@@ -32,7 +32,7 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate one figure (4, 6, 7, 8, 9, 10, 11, 12, 13)")
 	table := flag.Int("table", 0, "regenerate one table (1, 2)")
 	all := flag.Bool("all", false, "regenerate everything")
-	sched := flag.Bool("sched", false, "run the static-vs-dynamic scheduler balance study")
+	sched := flag.Bool("sched", false, "run the static-vs-stealing scheduler balance study")
 	sweep := flag.String("sweep", "", "run a parameter sweep: density (ccpd-vs-vbit engine crossover)")
 	outofcore := flag.Bool("outofcore", false, "run the out-of-core segmented-mining study (in-RAM vs sync vs double-buffered)")
 	maxTrace := flag.Int("maxtrace", 200, "transactions traced per processor in placement studies")

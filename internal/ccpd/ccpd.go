@@ -70,34 +70,24 @@ const (
 	// PartitionWorkload splits by the estimated Σ C(|t|,k)/T counting cost
 	// (the static heuristic of Section 3.2.2).
 	PartitionWorkload
-	// PartitionDynamic cuts the database into cache-sized transaction
-	// chunks claimed from a shared atomic cursor: no processor idles until
-	// fewer than P chunks remain, bounding load imbalance by one chunk's
-	// work regardless of transaction-size skew.
-	PartitionDynamic
-	// PartitionStealing seeds each processor's deque with a contiguous
-	// chunk block (cache- and model-equivalent to PartitionBlock when
-	// balanced) and lets idle processors steal from the front of a
-	// straggler's block.
-	PartitionStealing
+	// PartitionStealing cuts the database into cache-sized transaction
+	// chunks, seeds each processor's deque with a contiguous chunk block
+	// (cache- and model-equivalent to PartitionBlock when balanced) and
+	// lets idle processors steal from the front of a straggler's block, so
+	// load imbalance is bounded by one chunk's work regardless of
+	// transaction-size skew. The explicit value keeps checkpoints written
+	// in stealing mode valid: Resume's option fingerprint records it.
+	PartitionStealing DBPartition = 3
 )
 
 func (p DBPartition) String() string {
 	switch p {
 	case PartitionWorkload:
 		return "workload"
-	case PartitionDynamic:
-		return "dynamic"
 	case PartitionStealing:
 		return "stealing"
 	}
 	return "block"
-}
-
-// Dynamic reports whether the partition mode claims chunks at runtime
-// rather than fixing per-processor transaction ranges up front.
-func (p DBPartition) Dynamic() bool {
-	return p == PartitionDynamic || p == PartitionStealing
 }
 
 // Options configures a parallel run.
@@ -117,17 +107,17 @@ type Options struct {
 	// runs sequentially (parallelization overhead would dominate).
 	// 0 uses 4×Procs.
 	AdaptiveMinUnits int
-	// ChunkSize is the transactions-per-chunk granularity of the dynamic
-	// partition modes: small enough that a few hundred transactions fit in
-	// cache and bound the end-of-phase imbalance, large enough that one
-	// cursor claim or deque operation is noise against counting the chunk.
+	// ChunkSize is the transactions-per-chunk granularity of
+	// PartitionStealing: small enough that a few hundred transactions fit
+	// in cache and bound the end-of-phase imbalance, large enough that one
+	// deque operation is noise against counting the chunk.
 	// It is also the stride at which static-partition workers poll for
 	// cancellation. 0 uses 256.
 	ChunkSize int
-	// Obs, when non-nil, records phase spans, chunk claims, steals and
-	// counter flushes for trace/metrics export, and labels the pool workers
-	// for pprof. Nil disables recording: every obs call site nil-checks and
-	// returns, so the counting kernel keeps its zero-allocation guarantee.
+	// Obs, when non-nil, records phase spans, chunk claims and steals for
+	// trace/metrics export, and labels the pool workers for pprof. Nil
+	// disables recording: every obs call site nil-checks and returns, so the
+	// counting kernel keeps its zero-allocation guarantee.
 	Obs *obs.Recorder
 	// Checkpoint, when non-empty, writes a versioned binary snapshot of the
 	// run (frequent sets + deterministic work model) to this path after
@@ -241,13 +231,12 @@ type PhaseTiming struct {
 	ReduceWork int64
 
 	// ChunksClaimed[p] is how many counting chunks processor p claimed
-	// under a dynamic partition mode (nil for static modes). The values
-	// sum to the chunk count of the iteration (times the batch count when
+	// under PartitionStealing (nil for static modes). The values sum to
+	// the chunk count of the iteration (times the batch count when
 	// batched).
 	ChunksClaimed []int64
 	// Steals[p] counts the chunks processor p took from another
-	// processor's deque (PartitionStealing only; zero for the cursor mode,
-	// whose shared queue has no owner to steal from).
+	// processor's deque (PartitionStealing only).
 	Steals []int64
 	// CountIdle is the summed wall-clock idle time of the counting phase:
 	// Σ_p (slowest processor's counting time − processor p's). On a host
@@ -415,7 +404,7 @@ func Mine(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 }
 
 // MineCtx runs CCPD under a context. Cancellation is cooperative: workers
-// observe it at chunk boundaries (dynamic modes) or every ChunkSize
+// observe it at chunk boundaries (PartitionStealing) or every ChunkSize
 // transactions (static modes), the current phase drains promptly, and the
 // call returns the partial result — every iteration completed before the
 // cancellation point — together with a *robust.CanceledError naming the
@@ -649,8 +638,11 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 	m.rec.SetPhase(obs.PhasePairs, k)
 	m.rec.BeginPhase(obs.PhasePairs, k)
 	cr, err := countPhase(ctx, m.d, func(p int) rangeCounter {
-		tris[p] = make([]int32, cells)
-		return pairCounter{pc: pc, tri: tris[p], scratch: make([]int32, pc.N()), d: m.d, stride: opts.ChunkSize}
+		tri, scratch := make([]int32, cells), make([]int32, pc.N())
+		tris[p] = tri
+		return func(ctx context.Context, lo, hi int) int64 {
+			return pc.CountRange(ctx, tri, scratch, m.d, lo, hi, opts.ChunkSize)
+		}
 	}, opts, "pairs", k, m.pool)
 	m.rec.EndPhase(obs.PhasePairs, k)
 	if err != nil {
@@ -728,7 +720,7 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	if m.src != nil {
 		cr, err = m.src.countPhase(ctx, m, tree, counters, k)
 	} else {
-		cr, err = countPhase(ctx, m.d, treeCounters(m.d, tree, counters, opts, k), opts, "count", k, m.pool)
+		cr, err = countPhase(ctx, m.d, treeCounters(m.d, tree, counters, opts), opts, "count", k, m.pool)
 	}
 	m.rec.EndPhase(obs.PhaseCount, k)
 	if err != nil {
@@ -802,12 +794,12 @@ func splitRange(p, procs, n int) (lo, hi int) {
 // runs block-partitioned with private count arrays (parallelFrequentOne) —
 // item counting has no hash-tree walk to balance — but the *model* must
 // follow opts.DBPart: attributing block-partition work to a workload or
-// dynamic run misstated per-processor CountWork and every idle/balance
-// figure derived from it. Dynamic modes use the same deterministic greedy
+// stealing run misstated per-processor CountWork and every idle/balance
+// figure derived from it. Stealing uses the same deterministic greedy
 // list-schedule over per-chunk work that countPhase reports, so k=1 and k≥2
 // figures are attributed consistently.
 func iterOneCountWork(d *db.Database, opts Options) []int64 {
-	if opts.DBPart.Dynamic() {
+	if opts.DBPart == PartitionStealing {
 		n := d.Len()
 		numChunks := sched.NumChunks(n, opts.ChunkSize)
 		chunkWork := make([]int64, numChunks)
@@ -833,30 +825,8 @@ func iterOneCountWork(d *db.Database, opts Options) []int64 {
 	return work
 }
 
-// newCountCtxFn builds the per-worker CountCtx factory shared by the in-RAM
-// and out-of-core counting phases.
-func newCountCtxFn(tree *hashtree.Tree, counters *hashtree.Counters, opts Options, k int) func(p int) *hashtree.CountCtx {
-	rec := opts.Obs
-	return func(p int) *hashtree.CountCtx {
-		co := hashtree.CountOpts{
-			ShortCircuit: opts.ShortCircuit, Proc: p,
-			// Batch shared-counter updates to cut lock/atomic contention
-			// on hot candidates (no-op for private mode).
-			BatchUpdates: true,
-		}
-		// The flush hook is a bound method on the worker's padded obs
-		// record: one closure per (worker, iteration), nothing per
-		// transaction, and absent entirely when recording is off so the
-		// kernel's zero-allocation path is untouched.
-		if ow := rec.Worker(p); ow != nil {
-			co.OnFlush = func(n int) { ow.Flush(k, n) }
-		}
-		return tree.NewCountCtx(counters, co)
-	}
-}
-
 // countResult is one counting pass's deterministic accounting: per-processor
-// work, chunk claims/steals (dynamic modes) and wall-clock idle.
+// work, chunk claims/steals (PartitionStealing) and wall-clock idle.
 type countResult struct {
 	Work    []int64
 	Claimed []int64
@@ -864,56 +834,26 @@ type countResult struct {
 	Idle    time.Duration
 }
 
-// rangeCounter is one worker's kernel for an in-RAM counting pass: the hash
-// tree's CountCtx, or a private pair triangle in the k=2 pair pass.
-type rangeCounter interface {
-	// countRange counts transactions [lo, hi), polling ctx every ChunkSize
-	// transactions, and returns their work units.
-	countRange(ctx context.Context, lo, hi int) int64
-	// flush publishes buffered counter updates after the worker's last range.
-	flush()
-}
+// rangeCounter is one worker's kernel for an in-RAM counting pass, over the
+// hash tree or, in the k=2 pair pass, into a private pair triangle. It counts
+// transactions [lo, hi), polling ctx every ChunkSize transactions, and
+// returns their work units.
+type rangeCounter func(ctx context.Context, lo, hi int) int64
 
-// treeCounter counts transactions against the hash tree.
-type treeCounter struct {
-	c      *hashtree.CountCtx
-	d      *db.Database
-	stride int
-}
-
-func (t treeCounter) countRange(ctx context.Context, lo, hi int) int64 {
-	before := t.c.Work
-	for i := lo; i < hi; i++ {
-		if (i-lo)%t.stride == 0 && ctx.Err() != nil {
-			break
-		}
-		t.c.CountTransaction(t.d.Items(i))
-	}
-	return t.c.Work - before
-}
-
-func (t treeCounter) flush() { t.c.Flush() }
-
-// pairCounter counts transactions into one worker's private pair triangle.
-type pairCounter struct {
-	pc           *apriori.PairCount
-	tri, scratch []int32
-	d            *db.Database
-	stride       int
-}
-
-func (c pairCounter) countRange(ctx context.Context, lo, hi int) int64 {
-	return c.pc.CountRange(ctx, c.tri, c.scratch, c.d, lo, hi, c.stride)
-}
-
-func (pairCounter) flush() {}
-
-// treeCounters adapts the hash tree's per-worker CountCtx factory to
-// countPhase.
-func treeCounters(d *db.Database, tree *hashtree.Tree, counters *hashtree.Counters, opts Options, k int) func(p int) rangeCounter {
-	newCtx := newCountCtxFn(tree, counters, opts, k)
+// treeCounters builds each worker's rangeCounter over the hash tree.
+func treeCounters(d *db.Database, tree *hashtree.Tree, counters *hashtree.Counters, opts Options) func(p int) rangeCounter {
 	return func(p int) rangeCounter {
-		return treeCounter{c: newCtx(p), d: d, stride: opts.ChunkSize}
+		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Proc: p})
+		return func(ctx context.Context, lo, hi int) int64 {
+			before := c.Work
+			for i := lo; i < hi; i++ {
+				if (i-lo)%opts.ChunkSize == 0 && ctx.Err() != nil {
+					break
+				}
+				c.CountTransaction(d.Items(i))
+			}
+			return c.Work - before
+		}
 	}
 }
 
@@ -922,14 +862,13 @@ func treeCounters(d *db.Database, tree *hashtree.Tree, counters *hashtree.Counte
 // phase names the fault-injection sites.
 //
 // Static modes count fixed per-processor slices, polling for cancellation
-// every ChunkSize transactions. Dynamic modes cut the database into
-// ChunkSize-transaction chunks claimed at runtime (atomic cursor, or seeded
-// deques with stealing), checking the context at each claim; the racy
-// runtime assignment makes the observed per-processor work non-reproducible,
-// so CountWork is instead the deterministic greedy list-schedule over the
-// per-chunk work units — reproducible across runs, and summing
-// bit-identically to any static split because per-transaction work does not
-// depend on who counts it.
+// every ChunkSize transactions. PartitionStealing cuts the database into
+// ChunkSize-transaction chunks claimed at runtime from seeded deques,
+// checking the context at each claim; the racy runtime assignment makes the
+// observed per-processor work non-reproducible, so CountWork is instead the
+// deterministic greedy list-schedule over the per-chunk work units —
+// reproducible across runs, and summing bit-identically to any static split
+// because per-transaction work does not depend on who counts it.
 func countPhase(ctx context.Context, d *db.Database, newCounter func(p int) rangeCounter, opts Options, phase string, k int, pool *sched.Pool) (countResult, error) {
 	procs := opts.Procs
 	rec := opts.Obs
@@ -940,7 +879,7 @@ func countPhase(ctx context.Context, d *db.Database, newCounter func(p int) rang
 	// pool barrier.
 	acc := make([]sched.PerWorker, procs)
 
-	if !opts.DBPart.Dynamic() {
+	if opts.DBPart != PartitionStealing {
 		var slices []db.Slice
 		if opts.DBPart == PartitionWorkload {
 			slices = d.WorkloadPartition(procs, k)
@@ -950,9 +889,8 @@ func countPhase(ctx context.Context, d *db.Database, newCounter func(p int) rang
 		err := pool.Run(func(p int) {
 			t0 := time.Now()
 			fi.Fire(phase, k, p, -1)
-			rc := newCounter(p)
-			acc[p].Work = rc.countRange(ctx, slices[p].Lo, slices[p].Hi)
-			rc.flush()
+			countRange := newCounter(p)
+			acc[p].Work = countRange(ctx, slices[p].Lo, slices[p].Hi)
 			rec.Worker(p).AddWork(acc[p].Work)
 			acc[p].ElapsedNS = time.Since(t0).Nanoseconds()
 		})
@@ -969,72 +907,39 @@ func countPhase(ctx context.Context, d *db.Database, newCounter func(p int) rang
 	n := d.Len()
 	numChunks := sched.NumChunks(n, opts.ChunkSize)
 	chunkWork := make([]int64, numChunks)
-
-	countChunk := func(rc rangeCounter, w *sched.PerWorker, c int) {
-		lo, hi := sched.ChunkRange(n, opts.ChunkSize, c)
-		// Each chunk is claimed exactly once, so this write is private.
-		chunkWork[c] = rc.countRange(ctx, lo, hi)
-		w.Work += chunkWork[c]
-	}
-
-	var runErr error
-	switch opts.DBPart {
-	case PartitionStealing:
-		st := sched.NewStealing(procs)
-		st.SeedBlocks(numChunks)
-		runErr = pool.Run(func(p int) {
-			t0 := time.Now()
-			rc := newCounter(p)
-			w := &acc[p]
-			ow := rec.Worker(p)
-			for ctx.Err() == nil {
-				c, victim, ok := st.Next(p)
-				if !ok {
-					break
-				}
-				if victim != p {
-					w.Stolen++
-					ow.Steal(k, int(c), victim)
-				}
-				pool.NoteChunk(p, int(c))
-				fi.Fire(phase, k, p, int(c))
-				ow.BeginChunk(k, int(c))
-				countChunk(rc, w, int(c))
-				ow.EndChunk(k, int(c))
-				w.Claimed++
+	st := sched.NewStealing(procs)
+	st.SeedBlocks(numChunks)
+	err := pool.Run(func(p int) {
+		t0 := time.Now()
+		countRange := newCounter(p)
+		w := &acc[p]
+		ow := rec.Worker(p)
+		for ctx.Err() == nil {
+			lc, victim, ok := st.Next(p)
+			if !ok {
+				break
 			}
-			pool.NoteChunk(p, -1)
-			rc.flush()
-			ow.AddWork(w.Work)
-			w.ElapsedNS = time.Since(t0).Nanoseconds()
-		})
-	default: // PartitionDynamic
-		cur := sched.NewCursor(numChunks)
-		runErr = pool.Run(func(p int) {
-			t0 := time.Now()
-			rc := newCounter(p)
-			w := &acc[p]
-			ow := rec.Worker(p)
-			for ctx.Err() == nil {
-				c, ok := cur.Next()
-				if !ok {
-					break
-				}
-				pool.NoteChunk(p, c)
-				fi.Fire(phase, k, p, c)
-				ow.BeginChunk(k, c)
-				countChunk(rc, w, c)
-				ow.EndChunk(k, c)
-				w.Claimed++
+			c := int(lc)
+			if victim != p {
+				w.Stolen++
+				ow.Steal(k, c, victim)
 			}
-			pool.NoteChunk(p, -1)
-			rc.flush()
-			ow.AddWork(w.Work)
-			w.ElapsedNS = time.Since(t0).Nanoseconds()
-		})
-	}
-	if runErr != nil {
-		return countResult{}, runErr
+			pool.NoteChunk(p, c)
+			fi.Fire(phase, k, p, c)
+			ow.BeginChunk(k, c)
+			lo, hi := sched.ChunkRange(n, opts.ChunkSize, c)
+			// Each chunk is claimed exactly once, so this write is private.
+			chunkWork[c] = countRange(ctx, lo, hi)
+			w.Work += chunkWork[c]
+			ow.EndChunk(k, c)
+			w.Claimed++
+		}
+		pool.NoteChunk(p, -1)
+		ow.AddWork(w.Work)
+		w.ElapsedNS = time.Since(t0).Nanoseconds()
+	})
+	if err != nil {
+		return countResult{}, err
 	}
 	cr := countResult{
 		Claimed: make([]int64, procs),

@@ -31,7 +31,7 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+			for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 				res, _, err := Mine(d, Options{
 					Options: apriori.Options{MinSupport: sup, ShortCircuit: true},
 					Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 32,
@@ -106,7 +106,7 @@ func exactThresholdDB(t *testing.T) *db.Database {
 // arithmetic computed int64(2.999…) = 2 and admitted both.
 func TestFractionalSupportBoundaryParallel(t *testing.T) {
 	d := exactThresholdDB(t)
-	for _, mode := range []DBPartition{PartitionBlock, PartitionDynamic} {
+	for _, mode := range []DBPartition{PartitionBlock, PartitionStealing} {
 		res, _, err := Mine(d, Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, DBPart: mode,

@@ -75,10 +75,10 @@ func TestModelTimeDecreasesWithProcs(t *testing.T) {
 // until re-derived.
 //
 // The per-mode figures differ only through iteration balance: at procs=1
-// every mode must agree exactly (work is conserved), dynamic and stealing
-// share the greedy list-schedule model, and workload's static heuristic
-// lands in between. Before the k=1 attribution fix, all four modes wrongly
-// reported the block figure.
+// every mode must agree exactly (work is conserved), stealing follows the
+// greedy list-schedule model, and workload's static heuristic lands in
+// between. Before the k=1 attribution fix, every mode wrongly reported the
+// block figure.
 func TestModelTimePinned(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
@@ -87,7 +87,6 @@ func TestModelTimePinned(t *testing.T) {
 	want := map[DBPartition]map[int]int64{
 		PartitionBlock:    {1: 13435543, 4: 3719619},
 		PartitionWorkload: {1: 13435543, 4: 3633905},
-		PartitionDynamic:  {1: 13435543, 4: 3689075},
 		PartitionStealing: {1: 13435543, 4: 3689075},
 	}
 	for part, byProcs := range want {
@@ -110,12 +109,12 @@ func TestModelTimePinned(t *testing.T) {
 
 // TestIterOneCountWorkConserved asserts the k=1 attribution fix: every
 // partition mode distributes the same total iteration-1 work (work is
-// conserved across partitionings), and the dynamic modes report the greedy
+// conserved across partitionings), and the stealing mode reports the greedy
 // list-schedule rather than the block split.
 func TestIterOneCountWorkConserved(t *testing.T) {
 	d := testDB(t)
 	var blockTotal int64
-	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 		opts := Options{
 			Options: optsFor(0.01), Procs: 4, DBPart: part,
 		}.withDefaults()

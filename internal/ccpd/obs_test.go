@@ -17,7 +17,7 @@ import (
 // without one. The recorder may measure; it must not perturb.
 func TestObsEquivalence(t *testing.T) {
 	d := testDB(t)
-	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 		base := Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, Counter: hashtree.CounterAtomic,

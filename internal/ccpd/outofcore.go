@@ -31,7 +31,7 @@ type SegmentedOptions struct {
 // prefetches segment N+1 while the pool counts segment N. The frequent sets
 // and the deterministic work model (CountWork, ModelTime, IdleWork) are
 // bit-identical to an in-RAM Mine over the same data and options: each
-// worker (static block) or chunk (dynamic modes) covers exactly the same
+// worker (static block) or chunk (PartitionStealing) covers exactly the same
 // global transaction ranges, merely delivered a segment at a time.
 func MineSegmented(r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stats, error) {
 	return MineSegmentedCtx(context.Background(), r, opts)
@@ -47,7 +47,7 @@ func MineSegmented(r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stat
 func MineSegmentedCtx(ctx context.Context, r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stats, error) {
 	o := opts.Options.withDefaults()
 	if o.DBPart == PartitionWorkload {
-		return nil, nil, fmt.Errorf("ccpd: out-of-core mining supports block, dynamic and stealing partitions; workload needs a full up-front pass")
+		return nil, nil, fmt.Errorf("ccpd: out-of-core mining supports block and stealing partitions; workload needs a full up-front pass")
 	}
 	if o.Checkpoint != "" {
 		return nil, nil, fmt.Errorf("ccpd: checkpointing is not supported for out-of-core runs")
@@ -109,14 +109,14 @@ func (s *segSource) frequentOne(ctx context.Context, m *miner) ([]apriori.Freque
 	}
 	var chunkEst []int64
 	blockEst := make([]int64, procs)
-	if opts.DBPart.Dynamic() {
+	if opts.DBPart == PartitionStealing {
 		chunkEst = make([]int64, sched.NumChunks(int(n), opts.ChunkSize)) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
 	}
 
 	err := s.pipe.ForEach(ctx, func(si int, sd *db.Database) error {
 		base := s.r.Segment(si).TxOff
 		segHi := base + int64(sd.Len())
-		// Work-model attribution, on the coordinator: per-chunk (dynamic) or
+		// Work-model attribution, on the coordinator: per-chunk (stealing) or
 		// per-processor-block (static) Σ|t| — EstimatedWork(1) — scaled by
 		// the item-scan cost, exactly as iterOneCountWork computes in RAM.
 		if chunkEst != nil {
@@ -183,17 +183,16 @@ func (s *segSource) frequentOne(ctx context.Context, m *miner) ([]apriori.Freque
 }
 
 // countPhase streams one support-counting pass. Workers keep their CountCtx
-// (tree walk state, batched counter updates, work tally) across segments, so
-// the pass-level accounting is identical to counting the concatenated
-// database:
+// (tree walk state, work tally) across segments, so the pass-level
+// accounting is identical to counting the concatenated database:
 //
 //   - Static block: worker p counts the intersection of its global block
 //     [p·n/P, (p+1)·n/P) with each segment — the same transactions, in the
 //     same order, as the in-RAM BlockPartition, so per-processor CountWork
 //     matches bit-for-bit.
-//   - Dynamic/stealing: the global ChunkSize grid is preserved; each segment
-//     claims its overlapping chunk ids from a per-segment cursor or deque
-//     set. A chunk straddling a segment edge is counted in two pieces (its
+//   - Stealing: the global ChunkSize grid is preserved; each segment
+//     claims its overlapping chunk ids from a per-segment deque set. A
+//     chunk straddling a segment edge is counted in two pieces (its
 //     work accumulates across the two sequential segment passes — no race,
 //     the pool barrier sits between them), so chunkWork, and with it the
 //     GreedySchedule CountWork model, is bit-identical to in-RAM. Claims and
@@ -208,11 +207,16 @@ func (s *segSource) countPhase(ctx context.Context, m *miner, tree *hashtree.Tre
 	cs := int64(opts.ChunkSize)
 
 	acc := make([]sched.PerWorker, procs)
-	newCtx := newCountCtxFn(tree, counters, opts, k)
 	ctxs := make([]*hashtree.CountCtx, procs)
+	ctxOf := func(p int) *hashtree.CountCtx {
+		if ctxs[p] == nil {
+			ctxs[p] = tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Proc: p})
+		}
+		return ctxs[p]
+	}
 
 	var chunkWork []int64
-	if opts.DBPart.Dynamic() {
+	if opts.DBPart == PartitionStealing {
 		chunkWork = make([]int64, sched.NumChunks(int(n), opts.ChunkSize)) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
 	}
 
@@ -220,28 +224,11 @@ func (s *segSource) countPhase(ctx context.Context, m *miner, tree *hashtree.Tre
 		base := s.r.Segment(si).TxOff
 		segHi := base + int64(sd.Len())
 
-		countChunk := func(ctxc *hashtree.CountCtx, c int) {
-			lo, hi := maxI64(int64(c)*cs, base), minI64(int64(c+1)*cs, segHi)
-			before := ctxc.Work
-			//armlint:allow ctxpoll a chunk is at most ChunkSize transactions; the claim loop around it polls between chunks
-			for i := lo; i < hi; i++ {
-				ctxc.CountTransaction(sd.Items(int(i - base)))
-			}
-			// Claimed once per segment; segments are separated by the pool
-			// barrier, so the accumulation is race-free even for chunks that
-			// straddle a segment edge.
-			chunkWork[c] += ctxc.Work - before
-		}
-
-		switch {
-		case !opts.DBPart.Dynamic():
+		if opts.DBPart != PartitionStealing {
 			return m.pool.Run(func(p int) {
 				t0 := time.Now()
 				fi.Fire("count", k, p, si)
-				if ctxs[p] == nil {
-					ctxs[p] = newCtx(p)
-				}
-				ctxc := ctxs[p]
+				ctxc := ctxOf(p)
 				lo, hi := blockRange(p, procs, n)
 				lo, hi = maxI64(lo, base), minI64(hi, segHi)
 				for i := lo; i < hi; i++ {
@@ -252,66 +239,44 @@ func (s *segSource) countPhase(ctx context.Context, m *miner, tree *hashtree.Tre
 				}
 				acc[p].ElapsedNS += time.Since(t0).Nanoseconds()
 			})
-		case opts.DBPart == PartitionStealing:
-			cLo, cHi := chunkSpan(base, segHi, cs)
-			st := sched.NewStealing(procs)
-			st.SeedBlocks(cHi - cLo)
-			return m.pool.Run(func(p int) {
-				t0 := time.Now()
-				if ctxs[p] == nil {
-					ctxs[p] = newCtx(p)
-				}
-				ctxc := ctxs[p]
-				w := &acc[p]
-				ow := rec.Worker(p)
-				for ctx.Err() == nil {
-					lc, victim, ok := st.Next(p)
-					if !ok {
-						break
-					}
-					c := cLo + int(lc)
-					if victim != p {
-						w.Stolen++
-						ow.Steal(k, c, victim)
-					}
-					m.pool.NoteChunk(p, c)
-					fi.Fire("count", k, p, c)
-					ow.BeginChunk(k, c)
-					countChunk(ctxc, c)
-					ow.EndChunk(k, c)
-					w.Claimed++
-				}
-				m.pool.NoteChunk(p, -1)
-				w.ElapsedNS += time.Since(t0).Nanoseconds()
-			})
-		default: // PartitionDynamic
-			cLo, cHi := chunkSpan(base, segHi, cs)
-			cur := sched.NewCursor(cHi - cLo)
-			return m.pool.Run(func(p int) {
-				t0 := time.Now()
-				if ctxs[p] == nil {
-					ctxs[p] = newCtx(p)
-				}
-				ctxc := ctxs[p]
-				w := &acc[p]
-				ow := rec.Worker(p)
-				for ctx.Err() == nil {
-					lc, ok := cur.Next()
-					if !ok {
-						break
-					}
-					c := cLo + lc
-					m.pool.NoteChunk(p, c)
-					fi.Fire("count", k, p, c)
-					ow.BeginChunk(k, c)
-					countChunk(ctxc, c)
-					ow.EndChunk(k, c)
-					w.Claimed++
-				}
-				m.pool.NoteChunk(p, -1)
-				w.ElapsedNS += time.Since(t0).Nanoseconds()
-			})
 		}
+		cLo, cHi := chunkSpan(base, segHi, cs)
+		st := sched.NewStealing(procs)
+		st.SeedBlocks(cHi - cLo)
+		return m.pool.Run(func(p int) {
+			t0 := time.Now()
+			ctxc := ctxOf(p)
+			w := &acc[p]
+			ow := rec.Worker(p)
+			for ctx.Err() == nil {
+				lc, victim, ok := st.Next(p)
+				if !ok {
+					break
+				}
+				c := cLo + int(lc)
+				if victim != p {
+					w.Stolen++
+					ow.Steal(k, c, victim)
+				}
+				m.pool.NoteChunk(p, c)
+				fi.Fire("count", k, p, c)
+				ow.BeginChunk(k, c)
+				lo, hi := maxI64(int64(c)*cs, base), minI64(int64(c+1)*cs, segHi)
+				before := ctxc.Work
+				//armlint:allow ctxpoll a chunk is at most ChunkSize transactions; the claim loop around it polls between chunks
+				for i := lo; i < hi; i++ {
+					ctxc.CountTransaction(sd.Items(int(i - base)))
+				}
+				// Claimed once per segment; segments are separated by the
+				// pool barrier, so the accumulation is race-free even for
+				// chunks that straddle a segment edge.
+				chunkWork[c] += ctxc.Work - before
+				ow.EndChunk(k, c)
+				w.Claimed++
+			}
+			m.pool.NoteChunk(p, -1)
+			w.ElapsedNS += time.Since(t0).Nanoseconds()
+		})
 	})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		// Cancellation falls through with partial counts; buildCountExtract's
@@ -320,20 +285,16 @@ func (s *segSource) countPhase(ctx context.Context, m *miner, tree *hashtree.Tre
 		return countResult{}, err
 	}
 
-	// Final per-worker flush of batched counter updates and work tallies.
-	if err := m.pool.Run(func(p int) {
-		if ctxs[p] == nil {
-			return
+	// Per-worker work tallies, read after the last segment's barrier.
+	for p, ctxc := range ctxs {
+		if ctxc != nil {
+			rec.Worker(p).AddWork(ctxc.Work)
+			acc[p].Work = ctxc.Work
 		}
-		ctxs[p].Flush()
-		rec.Worker(p).AddWork(ctxs[p].Work)
-		acc[p].Work = ctxs[p].Work
-	}); err != nil {
-		return countResult{}, err
 	}
 
 	cr := countResult{Idle: idleOf(acc)}
-	if opts.DBPart.Dynamic() {
+	if opts.DBPart == PartitionStealing {
 		cr.Work = sched.GreedySchedule(chunkWork, procs)
 		cr.Claimed = make([]int64, procs)
 		cr.Steals = make([]int64, procs)

@@ -47,7 +47,7 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 	if r.NumSegments() < 2 {
 		t.Fatalf("want multiple segments, got %d", r.NumSegments())
 	}
-	for _, mode := range []DBPartition{PartitionBlock, PartitionDynamic, PartitionStealing} {
+	for _, mode := range []DBPartition{PartitionBlock, PartitionStealing} {
 		opts := Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 64,
@@ -83,9 +83,9 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 							label, budget, w.K, p, g.CountWork[p], w.CountWork[p])
 					}
 				}
-				// Dynamic modes: every chunk is claimed at least once; the
+				// Stealing: every chunk is claimed at least once; the
 				// segmented run adds one claim per straddled chunk.
-				if mode.Dynamic() {
+				if mode == PartitionStealing {
 					var claims int64
 					for _, c := range g.ChunksClaimed {
 						claims += c
@@ -169,7 +169,7 @@ func TestSegmentedMappedLoader(t *testing.T) {
 	defer r.Close()
 	opts := Options{
 		Options: apriori.Options{MinSupport: 0.02, ShortCircuit: true},
-		Procs:   3, DBPart: PartitionDynamic, ChunkSize: 64,
+		Procs:   3, DBPart: PartitionStealing, ChunkSize: 64,
 	}
 	want, _, err := Mine(d, opts)
 	if err != nil {
@@ -224,7 +224,7 @@ func TestSegmentedCancellation(t *testing.T) {
 	res, _, err := MineSegmentedCtx(ctx2, r, SegmentedOptions{
 		Options: Options{
 			Options: apriori.Options{MinSupport: 0.005, ShortCircuit: true},
-			Procs:   2, DBPart: PartitionDynamic, ChunkSize: 16,
+			Procs:   2, DBPart: PartitionStealing, ChunkSize: 16,
 		},
 		LoadDelay: time.Millisecond,
 	})

@@ -20,7 +20,7 @@ import (
 // MaxCandidatesInMemory.
 func TestPairPassMatchesHashTree(t *testing.T) {
 	d := testDB(t)
-	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 		for _, procs := range []int{1, 2, 4} {
 			for _, maxK := range []int{0, 2} {
 				opts := robustOpts()
@@ -175,7 +175,6 @@ func TestModelTimePinnedPairPass(t *testing.T) {
 	want := map[DBPartition]map[int]int64{
 		PartitionBlock:    {1: 4653087, 4: 1448524},
 		PartitionWorkload: {1: 4653087, 4: 1429107},
-		PartitionDynamic:  {1: 4653087, 4: 1436307},
 		PartitionStealing: {1: 4653087, 4: 1436307},
 	}
 	for part, byProcs := range want {

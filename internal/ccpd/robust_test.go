@@ -17,7 +17,7 @@ import (
 )
 
 // robustOpts is the base option set of the robustness tests: 4 processors,
-// a small chunk so the dynamic modes have plenty of claims, and the bitonic
+// a small chunk so the stealing mode has plenty of claims, and the bitonic
 // balance the paper defaults to.
 func robustOpts() Options {
 	return Options{
@@ -126,12 +126,12 @@ func TestPCCDPanicContained(t *testing.T) {
 	}
 }
 
-// TestPanicChunkAttribution pins the chunk provenance of a dynamic-mode
+// TestPanicChunkAttribution pins the chunk provenance of a stealing-mode
 // counting panic: the error names the chunk the worker had claimed.
 func TestPanicChunkAttribution(t *testing.T) {
 	d := testDB(t)
 	opts := robustOpts()
-	opts.DBPart = PartitionDynamic
+	opts.DBPart = PartitionStealing
 	opts.FaultInj = faultinj.New(faultinj.Rule{
 		Phase: "count", K: faultinj.Wildcard, Worker: faultinj.Wildcard, Chunk: 3,
 		Action: faultinj.Panic, Once: true,
@@ -207,7 +207,7 @@ func TestCancelMidRun(t *testing.T) {
 // frequent sets AND the deterministic work model — in every partition mode.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	d := testDB(t)
-	for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+	for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 		opts := robustOpts()
 		opts.DBPart = mode
 		straightRes, straightSt, err := Mine(d, opts)
@@ -360,7 +360,7 @@ func TestResumeValidation(t *testing.T) {
 		{"different support", d, func() Options { o := opts; o.MinSupport = 0.05; return o }(), "min count"},
 		{"different procs", d, func() Options { o := opts; o.Procs = 2; return o }(), "Procs"},
 		{"different balance", d, func() Options { o := opts; o.Balance = BalanceBlock; return o }(), "fingerprint"},
-		{"different partition", d, func() Options { o := opts; o.DBPart = PartitionDynamic; return o }(), "fingerprint"},
+		{"different partition", d, func() Options { o := opts; o.DBPart = PartitionStealing; return o }(), "fingerprint"},
 	}
 	for _, c := range cases {
 		_, _, err := Resume(ctx, path, c.d, c.opts)
@@ -392,7 +392,7 @@ func TestResumeValidation(t *testing.T) {
 // sets bit for bit, in every partition mode.
 func TestBatchingBitIdentical(t *testing.T) {
 	d := testDB(t)
-	for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+	for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 		opts := robustOpts()
 		opts.DBPart = mode
 		straight, _, err := Mine(d, opts)

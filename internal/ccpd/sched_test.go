@@ -38,12 +38,12 @@ func countWorkTotals(s *Stats) []int64 {
 	return out
 }
 
-// TestDynamicMatchesStatic sweeps the dynamic partition modes against the
+// TestDynamicMatchesStatic sweeps the stealing partition against the
 // static block baseline over counter modes, chunk sizes and processor
 // counts: identical frequent sets in identical order, identical per-iteration
 // total counting work (the per-transaction work units are partition
 // independent), and coherent scheduler observability (claims cover every
-// chunk exactly once, the cursor mode never steals).
+// chunk exactly once, never more steals than claims).
 func TestDynamicMatchesStatic(t *testing.T) {
 	d := testDB(t)
 	base := apriori.Options{MinSupport: 0.01, ShortCircuit: true}
@@ -53,50 +53,45 @@ func TestDynamicMatchesStatic(t *testing.T) {
 	}
 	refTotals := countWorkTotals(refStats)
 
-	for _, part := range []DBPartition{PartitionDynamic, PartitionStealing} {
-		for _, mode := range []hashtree.CounterMode{hashtree.CounterLocked, hashtree.CounterAtomic, hashtree.CounterPrivate} {
-			for _, chunk := range []int{1, 64, 997} {
-				for _, procs := range []int{1, 4} {
-					label := part.String() + "/" + mode.String()
-					res, stats, err := Mine(d, Options{
-						Options: base, Procs: procs, Counter: mode,
-						DBPart: part, ChunkSize: chunk,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertSameOrder(t, label, res, ref)
+	for _, mode := range []hashtree.CounterMode{hashtree.CounterLocked, hashtree.CounterAtomic, hashtree.CounterPrivate} {
+		for _, chunk := range []int{1, 64, 997} {
+			for _, procs := range []int{1, 4} {
+				label := "stealing/" + mode.String()
+				res, stats, err := Mine(d, Options{
+					Options: base, Procs: procs, Counter: mode,
+					DBPart: PartitionStealing, ChunkSize: chunk,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertSameOrder(t, label, res, ref)
 
-					totals := countWorkTotals(stats)
-					numChunks := int64(sched.NumChunks(d.Len(), chunk))
-					for i, it := range stats.PerIter {
-						if it.K == 1 {
-							continue // iteration 1 has no chunked counting
-						}
-						if totals[i] != refTotals[i] {
-							t.Errorf("%s chunk=%d procs=%d k=%d: total count work %d, want %d",
-								label, chunk, procs, it.K, totals[i], refTotals[i])
-						}
-						if it.Candidates == 0 {
-							continue // terminal iteration: no counting ran
-						}
-						var claimed, steals int64
-						for _, c := range it.ChunksClaimed {
-							claimed += c
-						}
-						for _, s := range it.Steals {
-							steals += s
-						}
-						if claimed != numChunks {
-							t.Errorf("%s chunk=%d procs=%d k=%d: %d chunks claimed, want %d",
-								label, chunk, procs, it.K, claimed, numChunks)
-						}
-						if part == PartitionDynamic && steals != 0 {
-							t.Errorf("%s k=%d: cursor mode reported %d steals", label, it.K, steals)
-						}
-						if steals > claimed {
-							t.Errorf("%s k=%d: steals %d > claims %d", label, it.K, steals, claimed)
-						}
+				totals := countWorkTotals(stats)
+				numChunks := int64(sched.NumChunks(d.Len(), chunk))
+				for i, it := range stats.PerIter {
+					if it.K == 1 {
+						continue // iteration 1 has no chunked counting
+					}
+					if totals[i] != refTotals[i] {
+						t.Errorf("%s chunk=%d procs=%d k=%d: total count work %d, want %d",
+							label, chunk, procs, it.K, totals[i], refTotals[i])
+					}
+					if it.Candidates == 0 {
+						continue // terminal iteration: no counting ran
+					}
+					var claimed, steals int64
+					for _, c := range it.ChunksClaimed {
+						claimed += c
+					}
+					for _, s := range it.Steals {
+						steals += s
+					}
+					if claimed != numChunks {
+						t.Errorf("%s chunk=%d procs=%d k=%d: %d chunks claimed, want %d",
+							label, chunk, procs, it.K, claimed, numChunks)
+					}
+					if steals > claimed {
+						t.Errorf("%s k=%d: steals %d > claims %d", label, it.K, steals, claimed)
 					}
 				}
 			}
@@ -131,7 +126,7 @@ func TestStaticModesUnchangedByPool(t *testing.T) {
 
 // TestDynamicBeatsStaticOnSkew plants a heavy tail of giant transactions at
 // the end of the database (the worst case for a block partition: one
-// processor owns the entire tail) and asserts the dynamic modes cut the
+// processor owns the entire tail) and asserts the stealing partition cuts the
 // modelled idle work. This is the acceptance criterion of the scheduler
 // change in deterministic form — on a host with real cores the wall-clock
 // gap follows the modelled one.
@@ -160,22 +155,19 @@ func TestDynamicBeatsStaticOnSkew(t *testing.T) {
 	if staticIdle == 0 {
 		t.Fatal("skewed database produced no static imbalance; test is vacuous")
 	}
-	for _, part := range []DBPartition{PartitionDynamic, PartitionStealing} {
-		dyn := run(part)
-		idle := dyn.CountIdleWork()
-		// Dynamic idle is bounded by roughly one chunk's work per
-		// processor per iteration; on this workload that is far below
-		// half the static imbalance.
-		if idle*2 >= staticIdle {
-			t.Errorf("%s: modelled idle %d not well below static %d", part, idle, staticIdle)
-		}
-		if dyn.ModelTime() >= static.ModelTime() {
-			t.Errorf("%s: model time %d not below static %d", part, dyn.ModelTime(), static.ModelTime())
-		}
+	dyn := run(PartitionStealing)
+	// Stealing idle is bounded by roughly one chunk's work per processor
+	// per iteration; on this workload that is far below half the static
+	// imbalance.
+	if idle := dyn.CountIdleWork(); idle*2 >= staticIdle {
+		t.Errorf("modelled idle %d not well below static %d", idle, staticIdle)
+	}
+	if dyn.ModelTime() >= static.ModelTime() {
+		t.Errorf("model time %d not below static %d", dyn.ModelTime(), static.ModelTime())
 	}
 	// The stealing mode must actually steal on a skewed tail: the owner of
 	// the heavy block cannot finish first.
-	if st := run(PartitionStealing); st.TotalSteals() == 0 {
+	if dyn.TotalSteals() == 0 {
 		t.Error("stealing mode reported zero steals on a skewed database")
 	}
 }

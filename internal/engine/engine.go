@@ -27,12 +27,13 @@ import (
 	"repro/internal/eclat"
 	"repro/internal/hashtree"
 	"repro/internal/obs"
-	"repro/internal/sampling"
 	"repro/internal/vbit"
 )
 
 // Caps declares what a Miner supports beyond plain Mine. Callers branch on
-// capabilities, never on engine names.
+// capabilities, never on engine names. Every registered engine is exact:
+// its results are bit-identical to sequential Apriori (frequent sets,
+// supports, ordering).
 type Caps struct {
 	// Parallel engines honor Spec.Procs and accept an obs.Recorder.
 	Parallel bool
@@ -45,11 +46,6 @@ type Caps struct {
 	Resume bool
 	// Segmented: the engine implements SegmentedMiner (out-of-core path).
 	Segmented bool
-	// Exact engines return results bit-identical to sequential Apriori
-	// (frequent sets, supports, ordering). The sampling engine's sample-side
-	// mining is approximate by design, but its Mine returns the exact
-	// full-database result, so every registered engine is currently exact.
-	Exact bool
 }
 
 // Spec is the engine-independent description of one mining run. Every field
@@ -75,12 +71,6 @@ type Spec struct {
 	// MemBudget caps resident decoded-segment bytes on the segmented path
 	// (0 = double-buffered prefetch).
 	MemBudget int64
-	// SampleFraction and SupportSlack parameterize the sampling engine
-	// (0 values take the package defaults: 0.1 and 0.9).
-	SampleFraction float64
-	SupportSlack   float64
-	// Seed feeds the sampling engine's random draw.
-	Seed int64
 }
 
 // ccpdOptions lowers a Spec onto the CCPD option struct. The production
@@ -122,8 +112,6 @@ type Stats struct {
 	// Pipeline is the out-of-core prefetch accounting when the run was
 	// segmented (also reachable through CCPD/VBitSegmented).
 	Pipeline *seg.PipelineStats
-	// Sampling carries the sample-vs-full accuracy for the sampling engine.
-	Sampling *sampling.Accuracy
 }
 
 // Miner is the unified engine interface. Implementations are stateless
@@ -199,7 +187,6 @@ func init() {
 	register(pccdMiner{})
 	register(eclatMiner{})
 	register(vbitMiner{})
-	register(samplingMiner{})
 }
 
 // --- Adapters ---
@@ -208,7 +195,7 @@ func init() {
 type seqMiner struct{}
 
 func (seqMiner) Name() string { return "seq" }
-func (seqMiner) Caps() Caps   { return Caps{Exact: true} }
+func (seqMiner) Caps() Caps   { return Caps{} }
 func (m seqMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	return m.MineCtx(context.Background(), d, s)
 }
@@ -227,7 +214,7 @@ type ccpdMiner struct{}
 
 func (ccpdMiner) Name() string { return "ccpd" }
 func (ccpdMiner) Caps() Caps {
-	return Caps{Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true, Exact: true}
+	return Caps{Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true}
 }
 func (m ccpdMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	return m.MineCtx(context.Background(), d, s)
@@ -261,7 +248,7 @@ func ccpdStats(name string, st *ccpd.Stats) *Stats {
 type pccdMiner struct{}
 
 func (pccdMiner) Name() string { return "pccd" }
-func (pccdMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true, Exact: true} }
+func (pccdMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true} }
 func (m pccdMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	return m.MineCtx(context.Background(), d, s)
 }
@@ -274,7 +261,7 @@ func (pccdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.
 type eclatMiner struct{}
 
 func (eclatMiner) Name() string { return "eclat" }
-func (eclatMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true, Exact: true} }
+func (eclatMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true} }
 func (m eclatMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	return m.MineCtx(context.Background(), d, s)
 }
@@ -296,7 +283,7 @@ type vbitMiner struct{}
 
 func (vbitMiner) Name() string { return "vbit" }
 func (vbitMiner) Caps() Caps {
-	return Caps{Parallel: true, Cancellation: true, Segmented: true, Exact: true}
+	return Caps{Parallel: true, Cancellation: true, Segmented: true}
 }
 func (m vbitMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	return m.MineCtx(context.Background(), d, s)
@@ -319,30 +306,6 @@ func (vbitMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apr
 		EngineName: "vbit", Total: st.Total,
 		VBitSegmented: st, Pipeline: &st.Pipeline,
 	}, err
-}
-
-// samplingMiner runs the companion-work sampling evaluation: mine a uniform
-// random sample at a slacked support, mine the full database, and report the
-// agreement. Mine returns the exact full-database result (so the engine is
-// safe anywhere an exact Miner is expected); the sample-side accuracy lands
-// in Stats.Sampling.
-type samplingMiner struct{}
-
-func (samplingMiner) Name() string { return "sampling" }
-func (samplingMiner) Caps() Caps   { return Caps{Exact: true} }
-func (m samplingMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (samplingMiner) MineCtx(_ context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	t0 := time.Now()
-	acc, res, err := sampling.Evaluate(d, sampling.Options{
-		Fraction: s.SampleFraction, SupportSlack: s.SupportSlack,
-		Mining: s.Mining, Seed: s.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Stats{EngineName: "sampling", Total: time.Since(t0), Sampling: &acc}, nil
 }
 
 // Dispatch looks up name and runs the spec against the given source: an

@@ -47,9 +47,6 @@ func TestEquivalenceThroughInterface(t *testing.T) {
 				if !ok {
 					t.Fatalf("Names() lists %q but Lookup fails", name)
 				}
-				if !m.Caps().Exact {
-					continue
-				}
 				res, _, err := m.Mine(d, spec)
 				if err != nil {
 					t.Fatalf("seed %d sup %g %s: %v", seed, sup, name, err)
@@ -123,12 +120,11 @@ func TestDispatch(t *testing.T) {
 // so a silent capability regression is an interface break.
 func TestCapsShape(t *testing.T) {
 	wantCaps := map[string]Caps{
-		"seq":      {Exact: true},
-		"ccpd":     {Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true, Exact: true},
-		"pccd":     {Parallel: true, Cancellation: true, Exact: true},
-		"eclat":    {Parallel: true, Cancellation: true, Exact: true},
-		"vbit":     {Parallel: true, Cancellation: true, Segmented: true, Exact: true},
-		"sampling": {Exact: true},
+		"seq":   {},
+		"ccpd":  {Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true},
+		"pccd":  {Parallel: true, Cancellation: true},
+		"eclat": {Parallel: true, Cancellation: true},
+		"vbit":  {Parallel: true, Cancellation: true, Segmented: true},
 	}
 	names := Names()
 	if len(names) != len(wantCaps) {

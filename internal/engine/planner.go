@@ -134,7 +134,8 @@ type Estimate struct {
 	// counting structures (the vertical engine's bitmap/tidlist arena; the
 	// horizontal engine's streaming residency).
 	ArenaBytes int64
-	// Feasible is false when ArenaBytes exceeds the memory budget.
+	// Feasible is false when ArenaBytes exceeds the memory budget, or, for
+	// vbit, when the database has no item occurrences to lay out.
 	Feasible bool
 	Note     string
 }
@@ -152,7 +153,7 @@ type Plan struct {
 	MemBudget int64
 	// BlockModel/DynamicModel are the GreedySchedule-modelled parallel
 	// counting times (max per-processor load) of the static block partition
-	// and the dynamic chunk-claiming partition over the synthetic chunk-work
+	// and the work-stealing chunk partition over the synthetic chunk-work
 	// vector — the numbers behind the DBPart choice.
 	BlockModel   int64
 	DynamicModel int64
@@ -174,12 +175,12 @@ type Planner struct {
 	// double-buffered (segmented runs), and disables the feasibility check
 	// for in-RAM databases.
 	MemBudget int64
-	// CrossoverDensity is the density at which the vertical engine starts
-	// beating the horizontal one (default vbit.DefaultCrossoverDensity,
-	// calibrated by the density-sweep experiment).
+	// CrossoverDensity is the density at and above which the vertical
+	// engine is chosen (default vbit.DefaultCrossoverDensity, calibrated by
+	// the density-sweep experiment).
 	CrossoverDensity float64
 	// TailMassThreshold is the TailMass above which the static block
-	// partition is considered imbalanced and the dynamic modes compete
+	// partition is considered imbalanced and stealing competes
 	// (default 0.08).
 	TailMassThreshold float64
 }
@@ -230,19 +231,21 @@ func VBitArenaBytes(info DBInfo, txCount int) int64 {
 // model against the horizontal one at the calibrated crossover density gives
 // cost = TotalItems · (crossover/density) — equal at the crossover, cheaper
 // for vbit above it, and degenerating (pointer chasing over near-empty
-// columns) below it. This reproduces the density-based selector's decisions
-// exactly while making them comparable numbers, and lets the memory budget
-// veto a winner: when the vertical arena projection exceeds the budget the
-// plan falls back to the (segmented) streaming CCPD engine, which counts
-// through a bounded hash tree regardless of store size.
+// columns) below it. The decision is the density rule those costs encode —
+// vbit at or above the crossover, where its cost is no higher, ccpd below
+// it — recorded as comparable numbers, and the memory budget can veto a
+// winner: when the vertical arena projection exceeds the budget the plan
+// falls back to the (segmented) streaming CCPD engine, which counts through
+// a bounded hash tree regardless of store size. A database with no item
+// occurrences plans ccpd, whose scan trivially no-ops.
 //
 // The partition choice schedules a synthetic chunk-work vector — uniform
 // work with the measured tail mass concentrated in the trailing TailTx
 // chunks, mirroring where the generator plants its heavy tail — under the
 // static block split and under sched.GreedySchedule (the deterministic model
-// of the dynamic chunk-claiming modes). Stealing is selected when the
-// dynamic model beats block by more than 5%; otherwise block's zero
-// coordination overhead wins.
+// of the work-stealing chunk partition). Stealing is selected when its model
+// beats block by more than 5%; otherwise block's zero coordination overhead
+// wins.
 func (pl Planner) Plan(info DBInfo) Plan {
 	pl = pl.withDefaults()
 	p := Plan{Segmented: info.Segmented, DBPart: ccpd.PartitionBlock, ChunkSize: 256}
@@ -270,7 +273,9 @@ func (pl Planner) Plan(info DBInfo) Plan {
 		ArenaBytes: VBitArenaBytes(info, vtx) + info.MaxSegmentBytes,
 		Feasible:   feasibleV, Note: vnote,
 	}
-	if pl.MemBudget > 0 && vbitEst.ArenaBytes > pl.MemBudget {
+	if !feasibleV {
+		vbitEst.Note = "database has no item occurrences"
+	} else if pl.MemBudget > 0 && vbitEst.ArenaBytes > pl.MemBudget {
 		vbitEst.Feasible = false
 		vbitEst.Note = fmt.Sprintf("arena projection %d B exceeds budget %d B", vbitEst.ArenaBytes, pl.MemBudget)
 	}
@@ -280,9 +285,9 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	case !vbitEst.Feasible:
 		p.Engine = "ccpd"
 		p.Reason = "vbit infeasible: " + vbitEst.Note
-	case vbitEst.Cost < ccpdEst.Cost:
+	case info.Density >= pl.CrossoverDensity:
 		p.Engine = "vbit"
-		p.Reason = fmt.Sprintf("density %.4f above crossover %.4f", info.Density, pl.CrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f at or above crossover %.4f", info.Density, pl.CrossoverDensity)
 	default:
 		p.Engine = "ccpd"
 		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, pl.CrossoverDensity)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ccpd"
@@ -88,6 +89,33 @@ func assertJustified(t *testing.T, label string, plan Plan) {
 	if plan.DBPart == ccpd.PartitionStealing && plan.DynamicModel >= plan.BlockModel {
 		t.Errorf("%s: stealing chosen but dynamic model %d does not beat block %d",
 			label, plan.DynamicModel, plan.BlockModel)
+	}
+}
+
+// TestPlannerCrossoverAndEmpty pins the two edge decisions: at exactly the
+// crossover density, where both cost estimates are equal, the planner picks
+// vbit, as the crossover is documented; a database with no item
+// occurrences plans ccpd.
+func TestPlannerCrossoverAndEmpty(t *testing.T) {
+	at := DBInfo{
+		DBStats:    vbit.DBStats{Transactions: 1000, NumItems: 128, AvgLen: 1, Density: vbit.DefaultCrossoverDensity},
+		TotalItems: 1000,
+	}
+	plan := Planner{Procs: 4}.Plan(at)
+	if plan.Engine != "vbit" {
+		t.Errorf("at crossover: engine %s, want vbit (%s)", plan.Engine, plan.Reason)
+	}
+	if !strings.Contains(plan.Reason, "at or above crossover") {
+		t.Errorf("at crossover: reason %q does not state the rule that chose vbit", plan.Reason)
+	}
+	assertJustified(t, "at-crossover", plan)
+
+	empty := Planner{Procs: 4}.Plan(DBInfo{})
+	if empty.Engine != "ccpd" {
+		t.Errorf("empty database: engine %s, want ccpd (%s)", empty.Engine, empty.Reason)
+	}
+	if !strings.Contains(empty.Reason, "no item occurrences") {
+		t.Errorf("empty database: reason %q does not say why vbit was ruled out", empty.Reason)
 	}
 }
 

@@ -10,13 +10,10 @@ import (
 )
 
 // schedParts lists the counting-phase partition modes in comparison order.
-var schedParts = []ccpd.DBPartition{
-	ccpd.PartitionBlock, ccpd.PartitionWorkload,
-	ccpd.PartitionDynamic, ccpd.PartitionStealing,
-}
+var schedParts = []ccpd.DBPartition{ccpd.PartitionBlock, ccpd.PartitionWorkload, ccpd.PartitionStealing}
 
 // SchedBalance compares the static database partitions of Section 3.2.2
-// against the dynamic chunk schedulers on a uniform database and on a
+// against the work-stealing chunk scheduler on a uniform database and on a
 // skew-planted variant (a heavy tail of ~8× transactions, the static
 // splits' worst case). Reported per mode and processor count: modelled
 // parallel time, max-over-processors counting work, the summed idle work
@@ -24,7 +21,7 @@ var schedParts = []ccpd.DBPartition{
 // units, so the table reproduces bit-identically on any host.
 func (r *Runner) SchedBalance(w io.Writer) error {
 	t := &Table{
-		Title:  "Scheduler balance: static vs dynamic counting partitions (0.5% support)",
+		Title:  "Scheduler balance: static vs work-stealing counting partitions (0.5% support)",
 		Header: []string{"Database", "Procs", "Partition", "ModelTime", "MaxCount", "IdleWork", "Steals"},
 	}
 	base := PaperDatasets[1] // T10.I4.D100K

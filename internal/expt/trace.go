@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ccpd"
 	"repro/internal/gen"
-	"repro/internal/hashtree"
 	"repro/internal/obs"
 )
 
@@ -14,10 +13,9 @@ import (
 // worst case for static partitions) under the stealing scheduler with a
 // recorder attached, and writes the resulting Chrome trace JSON to traceW
 // and a Prometheus metrics snapshot to metricsW (either may be nil to skip).
-// The run uses atomic shared counters so batched flush instants appear on
-// the timeline, and fine chunks so steals actually happen — the exported
-// trace is the harness's canonical "watch work-stealing rebalance a skewed
-// counting phase in Perfetto" artifact (see EXPERIMENTS.md).
+// The run uses fine chunks so steals actually happen — the exported trace is
+// the harness's canonical "watch work-stealing rebalance a skewed counting
+// phase in Perfetto" artifact (see EXPERIMENTS.md).
 func (r *Runner) TraceSkewed(traceW, metricsW io.Writer, procs int) error {
 	if procs < 2 {
 		procs = 4
@@ -37,7 +35,6 @@ func (r *Runner) TraceSkewed(traceW, metricsW io.Writer, procs int) error {
 	opts.DBPart = ccpd.PartitionStealing
 	opts.ChunkSize = 16
 	opts.MaxK = 4
-	opts.Counter = hashtree.CounterAtomic
 	opts.Obs = rec
 	if _, _, err := ccpd.Mine(d, opts); err != nil {
 		return fmt.Errorf("expt: skewed trace run: %w", err)

@@ -1,7 +1,6 @@
 package hashtree
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,26 +94,6 @@ func (c *Counters) add(id int32, proc int) {
 	}
 }
 
-// addN adds n to candidate id's counter — one synchronization event per call
-// regardless of n, which is what makes batched flushing cheaper than n
-// individual adds under the locked and atomic modes.
-//
-//armlint:noalloc
-func (c *Counters) addN(id int32, n int64, proc int) {
-	switch c.Mode {
-	case CounterPrivate:
-		c.priv[proc][id] += n
-	case CounterLocked:
-		l := &c.locks[uint32(id)%lockStripes]
-		l.Lock()
-		//armlint:allow atomic-mix locked and atomic modes are mutually exclusive per run (Mode is fixed at construction)
-		c.shared[id] += n
-		l.Unlock()
-	default:
-		atomic.AddInt64(&c.shared[id], n)
-	}
-}
-
 // Reduce folds private arrays into the shared totals (no-op for shared
 // modes). Call once after all counting completes.
 func (c *Counters) Reduce() {
@@ -162,17 +141,6 @@ type CountOpts struct {
 	ShortCircuit bool
 	// Proc is the processor identity (private counters, trace attribution).
 	Proc int
-	// BatchUpdates buffers counter increments per context and flushes them
-	// in aggregated batches, cutting the number of lock/atomic RMW events on
-	// hot candidates under the shared-counter modes. Callers that enable it
-	// MUST call Flush after their last CountTransaction, before reading
-	// counts. Ignored for CounterPrivate (already synchronization-free).
-	BatchUpdates bool
-	// OnFlush, when set, observes every batched counter flush with the
-	// number of buffered updates applied — the observability layer's flush
-	// event hook. It is called from the counting hot path and must not
-	// allocate or block.
-	OnFlush func(updates int)
 }
 
 // Deterministic work-unit costs for the counting cost model. On a host
@@ -190,10 +158,6 @@ const (
 	WorkItemScan   = 1 // read one transaction item (iteration 1)
 )
 
-// batchCap sizes the per-context update buffer: small enough to stay L1/L2
-// resident, large enough that a flush amortizes its sort over many updates.
-const batchCap = 256
-
 // walkFrame is one level of the explicit traversal stack: the node's hash
 // table offset, the next transaction item index to probe, and the node's
 // short-circuit epoch. The frame index in the stack equals the node depth.
@@ -205,9 +169,9 @@ type walkFrame struct {
 
 // CountCtx is one processor's reusable counting state over the frozen flat
 // tree: the k·H visited epochs of the reduced-memory short-circuit scheme,
-// per-leaf visit stamps for the base case, the explicit descent stack, and
-// an optional batched counter-update buffer. All state is allocated once at
-// construction; CountTransaction performs zero heap allocations.
+// per-leaf visit stamps for the base case, and the explicit descent stack.
+// All state is allocated once at construction; CountTransaction performs
+// zero heap allocations.
 type CountCtx struct {
 	t    *Tree
 	f    *Flat
@@ -243,8 +207,6 @@ type CountCtx struct {
 	stack []walkFrame
 
 	counters *Counters
-	batch    []int32 // pending candidate-id increments (nil ⇔ unbatched)
-	batchLen int
 }
 
 // NewCountCtx prepares a context, sealing the tree into its flat form on
@@ -265,9 +227,6 @@ func (t *Tree) NewCountCtx(counters *Counters, opts CountOpts) *CountCtx {
 		ctx.itemStamp = make([]uint64, f.stampLen)
 	}
 	ctx.stack = make([]walkFrame, k+1)
-	if opts.BatchUpdates && counters != nil && counters.Mode != CounterPrivate {
-		ctx.batch = make([]int32, batchCap)
-	}
 	return ctx
 }
 
@@ -385,7 +344,7 @@ func (ctx *CountCtx) scanLeaf(node int32, items itemset.Itemset) {
 				}
 			}
 			if contained {
-				ctx.bump(cand)
+				ctx.counters.add(cand, ctx.opts.Proc)
 				ctx.Work += WorkCtrUpdate
 			}
 		}
@@ -393,60 +352,9 @@ func (ctx *CountCtx) scanLeaf(node int32, items itemset.Itemset) {
 	}
 	for _, cand := range f.leafItems[lo:hi] {
 		if items.Contains(f.candidate(cand)) {
-			ctx.bump(cand)
+			ctx.counters.add(cand, ctx.opts.Proc)
 			ctx.Work += WorkCtrUpdate
 		}
-	}
-}
-
-// bump records one support increment, buffering it when batching is on.
-//
-//armlint:noalloc
-func (ctx *CountCtx) bump(cand int32) {
-	if ctx.batch == nil {
-		ctx.counters.add(cand, ctx.opts.Proc)
-		return
-	}
-	ctx.batch[ctx.batchLen] = cand
-	ctx.batchLen++
-	if ctx.batchLen == len(ctx.batch) {
-		ctx.flushBatch()
-	}
-}
-
-// flushBatch sorts the pending ids and applies one addN per distinct
-// candidate, so b buffered hits on a hot candidate cost one RMW instead of b
-// (and locked-mode flushes take each stripe lock in runs).
-//
-//armlint:noalloc
-func (ctx *CountCtx) flushBatch() {
-	pend := ctx.batch[:ctx.batchLen]
-	if len(pend) == 0 {
-		return
-	}
-	slices.Sort(pend)
-	run := int64(1)
-	for i := 1; i < len(pend); i++ {
-		if pend[i] == pend[i-1] {
-			run++
-			continue
-		}
-		ctx.counters.addN(pend[i-1], run, ctx.opts.Proc)
-		run = 1
-	}
-	ctx.counters.addN(pend[len(pend)-1], run, ctx.opts.Proc)
-	ctx.batchLen = 0
-	if ctx.opts.OnFlush != nil {
-		ctx.opts.OnFlush(len(pend))
-	}
-}
-
-// Flush publishes any buffered counter updates. Required after the last
-// CountTransaction when the context was created with BatchUpdates; a no-op
-// otherwise.
-func (ctx *CountCtx) Flush() {
-	if ctx.batch != nil {
-		ctx.flushBatch()
 	}
 }
 

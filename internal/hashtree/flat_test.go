@@ -105,40 +105,35 @@ func TestFlatCountMatchesPointerTree(t *testing.T) {
 			})
 
 			for _, mode := range []CounterMode{CounterLocked, CounterAtomic, CounterPrivate} {
-				for _, batch := range []bool{false, true} {
-					tr, err := Build(cfg, cands)
-					if err != nil {
-						t.Fatal(err)
-					}
-					const procs = 4
-					counters := NewCounters(mode, tr.NumCandidates(), procs)
-					done := make(chan struct{}, procs)
-					for p := 0; p < procs; p++ {
-						go func(p int) {
-							ctx := tr.NewCountCtx(counters, CountOpts{
-								ShortCircuit: sc, Proc: p, BatchUpdates: batch,
-							})
-							lo := p * len(txs) / procs
-							hi := (p + 1) * len(txs) / procs
-							for _, tx := range txs[lo:hi] {
-								ctx.CountTransaction(tx)
-							}
-							ctx.Flush()
-							done <- struct{}{}
-						}(p)
-					}
-					for p := 0; p < procs; p++ {
-						<-done
-					}
-					counters.Reduce()
-					tr.ForEachCandidate(func(id int32) {
-						key := tr.Candidate(id).Key()
-						if got := counters.Count(id); got != want[key] {
-							t.Fatalf("trial %d sc=%v mode=%v batch=%v: candidate %v count %d, want %d",
-								trial, sc, mode, batch, tr.Candidate(id), got, want[key])
-						}
-					})
+				tr, err := Build(cfg, cands)
+				if err != nil {
+					t.Fatal(err)
 				}
+				const procs = 4
+				counters := NewCounters(mode, tr.NumCandidates(), procs)
+				done := make(chan struct{}, procs)
+				for p := 0; p < procs; p++ {
+					go func(p int) {
+						ctx := tr.NewCountCtx(counters, CountOpts{ShortCircuit: sc, Proc: p})
+						lo := p * len(txs) / procs
+						hi := (p + 1) * len(txs) / procs
+						for _, tx := range txs[lo:hi] {
+							ctx.CountTransaction(tx)
+						}
+						done <- struct{}{}
+					}(p)
+				}
+				for p := 0; p < procs; p++ {
+					<-done
+				}
+				counters.Reduce()
+				tr.ForEachCandidate(func(id int32) {
+					key := tr.Candidate(id).Key()
+					if got := counters.Count(id); got != want[key] {
+						t.Fatalf("trial %d sc=%v mode=%v: candidate %v count %d, want %d",
+							trial, sc, mode, tr.Candidate(id), got, want[key])
+					}
+				})
 			}
 		}
 	}
@@ -247,7 +242,7 @@ func (r *recursiveRef) walk(id int32, items itemset.Itemset, start int) {
 
 // TestCountTransactionZeroAlloc is the allocation regression gate for the
 // counting kernel: steady-state CountTransaction must not touch the heap, in
-// any counter mode, batched or not.
+// any counter mode.
 func TestCountTransactionZeroAlloc(t *testing.T) {
 	cands := combinations(16, 3)
 	tr, err := Build(Config{K: 3, Fanout: 4, Threshold: 3, NumItems: 16}, cands)
@@ -256,48 +251,16 @@ func TestCountTransactionZeroAlloc(t *testing.T) {
 	}
 	tx := itemset.New(0, 2, 3, 5, 7, 8, 10, 11, 13, 15)
 	for _, mode := range []CounterMode{CounterLocked, CounterAtomic, CounterPrivate} {
-		for _, batch := range []bool{false, true} {
-			for _, sc := range []bool{false, true} {
-				counters := NewCounters(mode, tr.NumCandidates(), 1)
-				ctx := tr.NewCountCtx(counters, CountOpts{ShortCircuit: sc, BatchUpdates: batch})
-				allocs := testing.AllocsPerRun(50, func() {
-					ctx.CountTransaction(tx)
-				})
-				if allocs != 0 {
-					t.Errorf("mode=%v batch=%v sc=%v: %v allocs/op, want 0", mode, batch, sc, allocs)
-				}
-				ctx.Flush()
+		for _, sc := range []bool{false, true} {
+			counters := NewCounters(mode, tr.NumCandidates(), 1)
+			ctx := tr.NewCountCtx(counters, CountOpts{ShortCircuit: sc})
+			allocs := testing.AllocsPerRun(50, func() {
+				ctx.CountTransaction(tx)
+			})
+			if allocs != 0 {
+				t.Errorf("mode=%v sc=%v: %v allocs/op, want 0", mode, sc, allocs)
 			}
 		}
-	}
-}
-
-// TestCountTransactionZeroAllocWithFlushHook extends the allocation gate to
-// the observability wiring: an installed OnFlush hook (itself non-allocating)
-// must keep the batched counting path at zero heap allocations, so mining
-// with trace recording on cannot regress the kernel.
-func TestCountTransactionZeroAllocWithFlushHook(t *testing.T) {
-	cands := combinations(16, 3)
-	tr, err := Build(Config{K: 3, Fanout: 4, Threshold: 3, NumItems: 16}, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := itemset.New(0, 2, 3, 5, 7, 8, 10, 11, 13, 15)
-	var flushes, updates int64
-	counters := NewCounters(CounterAtomic, tr.NumCandidates(), 1)
-	ctx := tr.NewCountCtx(counters, CountOpts{
-		BatchUpdates: true,
-		OnFlush:      func(n int) { flushes++; updates += int64(n) },
-	})
-	allocs := testing.AllocsPerRun(200, func() {
-		ctx.CountTransaction(tx)
-	})
-	if allocs != 0 {
-		t.Errorf("with OnFlush hook: %v allocs/op, want 0", allocs)
-	}
-	ctx.Flush()
-	if flushes == 0 || updates == 0 {
-		t.Errorf("flush hook never fired (flushes=%d updates=%d)", flushes, updates)
 	}
 }
 

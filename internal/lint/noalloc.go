@@ -25,7 +25,7 @@ import (
 //
 // Callee bodies are not re-analyzed, but the call graph closes the
 // contract: a noalloc function may only call module functions that are
-// themselves annotated noalloc (the kernel's scanLeaf/bump/flushBatch chain
+// themselves annotated noalloc (the kernel's scanLeaf/Counters.add chain
 // is), so an allocation can't hide one frame down. Standard-library calls
 // are trusted case by case — the kernel's stdlib surface is popcount
 // intrinsics and slice indexing, which don't allocate. False positives — a

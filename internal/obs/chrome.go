@@ -10,7 +10,7 @@ import (
 // (loadable in Perfetto / chrome://tracing). The timeline has one track
 // ("thread") per processor plus a "master" track for the coordinating
 // goroutine: phase spans are B/E duration events, chunk spans nest inside
-// them, counter flushes are instants, and steals are flow arrows drawn from
+// them, and steals are flow arrows drawn from
 // the victim's track to the thief's chunk span.
 //
 // Call only after mining completes (the per-worker buffers are single-writer
@@ -80,9 +80,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 					flowID, ev.aux, us, ev.arg, ev.k)
 				emit(`{"name":"steal","cat":"steal","ph":"f","bp":"e","id":%d,"pid":1,"tid":%d,"ts":%.3f}`,
 					flowID, tid, us)
-			case evFlush:
-				emit(`{"name":"flush","cat":"flush","ph":"i","s":"t","pid":1,"tid":%d,"ts":%.3f,"args":{"updates":%d,"k":%d}}`,
-					tid, us, ev.arg, ev.k)
 			case evBeginSeg:
 				emit(`{"name":%q,"cat":"seg","ph":"B","pid":1,"tid":%d,"ts":%.3f,"args":{"seg":%d}}`,
 					SegKind(ev.phase).String(), tid, us, ev.arg)

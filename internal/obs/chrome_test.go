@@ -26,7 +26,7 @@ type traceEvent struct {
 }
 
 // record a small but complete run shape: a phase span per track enclosing
-// chunk spans, one steal, one flush, plus master-track phase spans.
+// chunk spans, one steal, plus master-track phase spans.
 func recordSample(t *testing.T) *Recorder {
 	t.Helper()
 	r := NewRecorder(2)
@@ -37,7 +37,6 @@ func recordSample(t *testing.T) *Recorder {
 		r.PoolWrap(p, func(int) {
 			w := r.Worker(p)
 			w.BeginChunk(2, 2*p)
-			w.Flush(2, 32)
 			w.EndChunk(2, 2*p)
 			if p == 1 {
 				w.Steal(2, 3, 0)
@@ -119,20 +118,6 @@ func TestWriteTraceValidJSON(t *testing.T) {
 		t.Error(`flow finish missing bp:"e" (must bind to enclosing slice)`)
 	}
 
-	// Flush instants carry their update count.
-	var flushes int
-	for _, ev := range doc.TraceEvents {
-		if ev.Cat == "flush" {
-			flushes++
-			if ev.Ph != "i" || ev.Args["updates"].(float64) != 32 {
-				t.Errorf("flush event malformed: %+v", ev)
-			}
-		}
-	}
-	if flushes != 2 {
-		t.Errorf("%d flush instants, want 2", flushes)
-	}
-
 	// Chunk spans: BeginChunk count per tid must match the claimed counters.
 	chunkB := map[int]int64{}
 	for _, ev := range doc.TraceEvents {
@@ -172,7 +157,6 @@ func TestWriteMetricsFormat(t *testing.T) {
 		`armine_chunks_claimed_total{proc="0"} 1`,
 		`armine_chunks_claimed_total{proc="1"} 2`,
 		`armine_steals_total{proc="1"} 1`,
-		`armine_batch_flushes_total{proc="0"} 1`,
 		`armine_candidates{k="2"} 12`,
 		`armine_frequent{k="2"} 7`,
 		`armine_cachesim_miss_rate{policy="gpp"} 0.125`,

@@ -1,6 +1,6 @@
 // Package obs is the low-overhead observability layer of the mining stack:
-// per-worker event buffers record phase begin/end, chunk claims, steals and
-// counter flushes as monotonic-clock spans, exportable as a Chrome
+// per-worker event buffers record phase begin/end, chunk claims and steals
+// as monotonic-clock spans, exportable as a Chrome
 // trace_event JSON timeline (one track per "processor", viewable in
 // Perfetto), a Prometheus-text metrics snapshot, and runtime/pprof labels
 // that segment CPU profiles by mining phase.
@@ -15,7 +15,7 @@
 //     check and a store, with zero heap allocations steady-state. When the
 //     per-worker ring is saturated the oldest segment is recycled (dropped
 //     event counts are reported, never silently lost).
-//   - Worker records are cache-line padded (their size is a multiple of 64
+//   - Worker records tile whole cache lines (their size is a multiple of 64
 //     bytes, checked by armlint's falseshare pass and a layout test), so
 //     two workers' live counters never share a coherence line.
 //   - A nil *Recorder is a valid disabled recorder: every method nil-checks
@@ -99,15 +99,14 @@ func (k SegKind) String() string {
 	return "seg_unknown"
 }
 
-// Event kinds. Begin/end pairs form spans; steal and flush are instants
-// (steals additionally export as flow arrows from victim to thief track).
+// Event kinds. Begin/end pairs form spans; a steal is an instant, exported
+// as a flow arrow from the victim's track to the thief's.
 const (
 	evBeginPhase uint8 = iota
 	evEndPhase
 	evBeginChunk
 	evEndChunk
 	evSteal
-	evFlush
 	evBeginSeg
 	evEndSeg
 )
@@ -116,7 +115,7 @@ const (
 // single flat allocation and appending never writes a heap header.
 type event struct {
 	ts    int64 // monotonic ns since the recorder epoch
-	arg   int64 // chunk id (chunk spans, steals) or flushed updates (flush)
+	arg   int64 // chunk id (chunk spans, steals) or segment (seg spans)
 	aux   int32 // victim processor (steals)
 	k     int32 // iteration stamp
 	kind  uint8
@@ -153,8 +152,6 @@ type Worker struct {
 	//armlint:hot
 	stolen atomic.Int64 // chunks stolen from other workers
 	//armlint:hot
-	flushes atomic.Int64 // batched counter flushes
-	//armlint:hot
 	workUnits atomic.Int64 // deterministic work units
 	//armlint:hot
 	dropped atomic.Int64 // events recycled out of a saturated ring
@@ -162,7 +159,6 @@ type Worker struct {
 	recorded atomic.Int64 // events ever recorded (buffered = recorded − dropped)
 	full     [][]event
 	free     [][]event
-	_        [56]byte // pad to a 64-byte multiple (falseshare rule 1)
 }
 
 // Recorder owns the per-worker buffers, the master track, and the
@@ -391,7 +387,6 @@ func (r *Recorder) Reset() {
 		w.cur = w.cur[:0]
 		w.claimed.Store(0)
 		w.stolen.Store(0)
-		w.flushes.Store(0)
 		w.workUnits.Store(0)
 		w.dropped.Store(0)
 		w.recorded.Store(0)
@@ -462,15 +457,6 @@ func (w *Worker) Steal(k, chunk, victim int) {
 	}
 	w.stolen.Add(1)
 	w.record(event{ts: w.rec.now(), arg: int64(chunk), aux: int32(victim), k: int32(k), kind: evSteal, phase: uint8(PhaseCount)})
-}
-
-// Flush records one batched counter flush of n buffered updates.
-func (w *Worker) Flush(k, n int) {
-	if w == nil {
-		return
-	}
-	w.flushes.Add(1)
-	w.record(event{ts: w.rec.now(), arg: int64(n), k: int32(k), kind: evFlush, phase: uint8(PhaseCount)})
 }
 
 // BeginSeg opens a segment-pipeline span (seg_load / seg_count /

@@ -54,7 +54,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	w.BeginChunk(2, 0)
 	w.EndChunk(2, 0)
 	w.Steal(2, 0, 1)
-	w.Flush(2, 8)
 	w.AddWork(100)
 	if err := r.WriteTrace(io.Discard); err == nil {
 		t.Error("WriteTrace on nil recorder should error")
@@ -73,7 +72,6 @@ func TestRecordSteadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		w.BeginChunk(2, 7)
 		w.Steal(2, 7, 1)
-		w.Flush(2, 64)
 		w.EndChunk(2, 7)
 		w.AddWork(10)
 	})
@@ -186,7 +184,6 @@ func TestSnapshotAggregates(t *testing.T) {
 	w1.Steal(2, 0, 0)
 	w1.BeginChunk(2, 0)
 	w1.EndChunk(2, 0)
-	w1.Flush(2, 16)
 	w1.AddWork(60)
 	r.IterStats(2, 9, 4)
 	r.AddIdle(5 * time.Millisecond)
@@ -200,7 +197,7 @@ func TestSnapshotAggregates(t *testing.T) {
 	if s.Workers[0].Claimed != 1 || s.Workers[0].WorkUnits != 40 {
 		t.Errorf("worker 0 stats = %+v", s.Workers[0])
 	}
-	if s.Workers[1].Claimed != 1 || s.Workers[1].Stolen != 1 || s.Workers[1].Flushes != 1 || s.Workers[1].WorkUnits != 60 {
+	if s.Workers[1].Claimed != 1 || s.Workers[1].Stolen != 1 || s.Workers[1].WorkUnits != 60 {
 		t.Errorf("worker 1 stats = %+v", s.Workers[1])
 	}
 	if len(s.Iters) != 1 || s.Iters[0] != (IterStat{K: 2, Candidates: 9, Frequent: 4}) {
@@ -238,7 +235,6 @@ func TestScrapeDuringRecording(t *testing.T) {
 				}
 				w.BeginChunk(2, i)
 				w.Steal(2, i, (p+1)%procs)
-				w.Flush(2, 64)
 				w.AddWork(10)
 				w.EndChunk(2, i)
 			}

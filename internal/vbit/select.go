@@ -1,32 +1,8 @@
 package vbit
 
-import (
-	"fmt"
+import "repro/internal/db"
 
-	"repro/internal/db"
-)
-
-// Engine identifies which counting engine the auto-selector picked.
-type Engine int
-
-const (
-	// EngineCCPD is the horizontal hash-tree engine (paper Section 3).
-	EngineCCPD Engine = iota
-	// EngineVBit is the vertical word-parallel dEclat engine.
-	EngineVBit
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineCCPD:
-		return "ccpd"
-	case EngineVBit:
-		return "vbit"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// DBStats are the database statistics the auto-selector decides on — the
+// DBStats are the database statistics engine.Planner decides on — the
 // same shape internal/gen parameterizes its synthetic workloads with:
 // transaction count D, item universe N, mean transaction length T, and the
 // density T/N (the probability a random item appears in a random row).
@@ -37,7 +13,7 @@ type DBStats struct {
 	Density      float64
 }
 
-// Characterize computes the selector's statistics in O(1) from the
+// Characterize computes the planner's statistics in O(1) from the
 // database's stored aggregates (no scan).
 func Characterize(d *db.Database) DBStats {
 	s := DBStats{
@@ -66,16 +42,3 @@ func Characterize(d *db.Database) DBStats {
 // -sweep density) reproduces this crossover from the deterministic work
 // models; adjust the constant if the sweep moves.
 const DefaultCrossoverDensity = 1.0 / 128
-
-// AutoSelect picks the engine for a database: vertical when the density
-// clears the crossover, hash-tree CCPD otherwise. Degenerate databases
-// (no rows, no items) go to CCPD, whose scan trivially no-ops.
-func AutoSelect(s DBStats) Engine {
-	if s.Transactions == 0 || s.NumItems == 0 {
-		return EngineCCPD
-	}
-	if s.Density >= DefaultCrossoverDensity {
-		return EngineVBit
-	}
-	return EngineCCPD
-}

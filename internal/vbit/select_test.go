@@ -1,7 +1,6 @@
 package vbit
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/db"
@@ -22,53 +21,5 @@ func TestCharacterize(t *testing.T) {
 	}
 	if s.Density != 0.05 {
 		t.Errorf("Density = %v, want 0.05", s.Density)
-	}
-}
-
-func TestAutoSelect(t *testing.T) {
-	cases := []struct {
-		name string
-		s    DBStats
-		want Engine
-	}{
-		{"dense", DBStats{Transactions: 1000, NumItems: 20, AvgLen: 10, Density: 0.5}, EngineVBit},
-		{"at-crossover", DBStats{Transactions: 1000, NumItems: 128, AvgLen: 1, Density: DefaultCrossoverDensity}, EngineVBit},
-		{"below-crossover", DBStats{Transactions: 1000, NumItems: 2000, AvgLen: 10, Density: 0.005}, EngineCCPD},
-		{"empty-db", DBStats{}, EngineCCPD},
-	}
-	for _, c := range cases {
-		if got := AutoSelect(c.s); got != c.want {
-			t.Errorf("%s: AutoSelect = %v, want %v", c.name, got, c.want)
-		}
-	}
-	if EngineCCPD.String() != "ccpd" || EngineVBit.String() != "vbit" {
-		t.Errorf("Engine.String mismatch: %v %v", EngineCCPD, EngineVBit)
-	}
-}
-
-// TestAutoSelectEndToEnd sanity-checks the selector against the densities
-// the sweep experiment covers: a T≈N/2 basket database selects vbit, a
-// huge-universe retail-style database selects ccpd.
-func TestAutoSelectEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	dense := randomDB(rng, 20, 300, 0.4)
-	if got := AutoSelect(Characterize(dense)); got != EngineVBit {
-		t.Errorf("dense db selected %v, want vbit", got)
-	}
-	sparse := db.New(4000)
-	for i := 0; i < 300; i++ {
-		seen := map[itemset.Item]bool{}
-		var raw []itemset.Item
-		for len(raw) < 6 {
-			it := itemset.Item(rng.Intn(4000))
-			if !seen[it] {
-				seen[it] = true
-				raw = append(raw, it)
-			}
-		}
-		sparse.Append(int64(i), itemset.New(raw...))
-	}
-	if got := AutoSelect(Characterize(sparse)); got != EngineCCPD {
-		t.Errorf("sparse db selected %v, want ccpd", got)
 	}
 }
