@@ -128,15 +128,18 @@ type Options struct {
 	// phase/chunk granularity — tests and CI smoke only; a nil injector
 	// compiles to a nil check at every site.
 	FaultInj *faultinj.Injector
-	// PairPass runs iteration 2 of an in-RAM MineCtx or Resume as one pass
-	// over private per-worker pair triangles (apriori.PairCount) instead
-	// of candidate generation, tree build, hash-tree count and reduce. The
-	// output is bit-identical; the work model differs, so the default
-	// (off) keeps the paper's hash-tree k=2. The pass steps aside for the
+	// Project switches an in-RAM MineCtx or Resume to the production
+	// counting path. Iteration 2 runs as one pass over private per-worker
+	// pair triangles (apriori.PairCount) instead of candidate generation,
+	// tree build, hash-tree count and reduce; the pass steps aside for the
 	// hash tree when Procs triangles would exceed apriori.PairPassMaxBytes
-	// or C(|F1|,2) exceeds a set MaxCandidatesInMemory. PCCD and
-	// MineSegmented ignore it.
-	PairPass bool
+	// or C(|F1|,2) exceeds a set MaxCandidatesInMemory. Every hash-tree
+	// walk (k ≥ 3, that k=2 fallback, each candidate batch) counts each
+	// transaction projected onto the tree's candidate items
+	// (hashtree.CountOpts.Project). The output is bit-identical; the work
+	// model differs, so the default (off) keeps the paper's counting.
+	// PCCD and MineSegmented ignore it.
+	Project bool
 
 	// pairMaxBytes overrides apriori.PairPassMaxBytes in tests (0: the
 	// package ceiling).
@@ -195,7 +198,14 @@ func (o Options) fingerprint() uint64 {
 	put(uint64(o.DBPart))
 	put(uint64(o.AdaptiveMinUnits))
 	put(uint64(o.ChunkSize))
-	putBool(o.PairPass)
+	// Project hashes as 2 and off as 0. Checkpoints from before projected
+	// counting hashed their pair-pass-only option as 1: their k ≥ 3 work
+	// figures are unprojected, so they must not resume under Project.
+	if o.Project {
+		put(2)
+	} else {
+		put(0)
+	}
 	return h.Sum64()
 }
 
@@ -609,7 +619,7 @@ func (m *miner) iterate(ctx context.Context, k int, prev []itemset.Itemset) (fk 
 // outgrow the tree they replace.
 func (m *miner) pairPassFits(n int) bool {
 	lim := m.opts.MaxCandidatesInMemory
-	return m.opts.PairPass && m.src == nil && n >= 2 &&
+	return m.opts.Project && m.src == nil && n >= 2 &&
 		apriori.PairTrianglesFit(m.opts.Procs, n, m.opts.pairMaxBytes) &&
 		(lim <= 0 || apriori.PairCells(n) <= int64(lim))
 }
@@ -840,10 +850,11 @@ type countResult struct {
 // returns their work units.
 type rangeCounter func(ctx context.Context, lo, hi int) int64
 
-// treeCounters builds each worker's rangeCounter over the hash tree.
+// treeCounters builds each worker's rangeCounter over the hash tree,
+// projecting transactions under Options.Project.
 func treeCounters(d *db.Database, tree *hashtree.Tree, counters *hashtree.Counters, opts Options) func(p int) rangeCounter {
 	return func(p int) rangeCounter {
-		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Proc: p})
+		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Project: opts.Project, Proc: p})
 		return func(ctx context.Context, lo, hi int) int64 {
 			before := c.Work
 			for i := lo; i < hi; i++ {

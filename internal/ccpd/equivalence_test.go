@@ -1,6 +1,7 @@
 package ccpd
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apriori"
@@ -12,7 +13,8 @@ import (
 )
 
 // TestCrossAlgorithmEquivalence asserts that every mining engine in the repo
-// — sequential Apriori, CCPD under all four database partition modes, PCCD,
+// — sequential Apriori, CCPD under every database partition mode with the
+// paper's counting and with projected counting (Options.Project), PCCD,
 // Eclat, and the vertical bitmap engine under its three layouts (mixed,
 // all-bitmap, all-tidlist) — returns the same frequent sets with the same
 // supports, over a
@@ -32,16 +34,20 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
-				res, _, err := Mine(d, Options{
-					Options: apriori.Options{MinSupport: sup, ShortCircuit: true},
-					Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 32,
-				})
-				if err != nil {
-					t.Fatalf("seed %d sup %g ccpd/%s: %v", seed, sup, mode, err)
-				}
-				assertSameResult(t, mode.String(), res, want)
-				if res.MinCount != want.MinCount {
-					t.Errorf("seed %d sup %g ccpd/%s: MinCount %d != %d", seed, sup, mode, res.MinCount, want.MinCount)
+				for _, project := range []bool{false, true} {
+					label := fmt.Sprintf("ccpd/%s project=%v", mode, project)
+					res, _, err := Mine(d, Options{
+						Options: apriori.Options{MinSupport: sup, ShortCircuit: true},
+						Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 32,
+						Project: project,
+					})
+					if err != nil {
+						t.Fatalf("seed %d sup %g %s: %v", seed, sup, label, err)
+					}
+					assertSameResult(t, label, res, want)
+					if res.MinCount != want.MinCount {
+						t.Errorf("seed %d sup %g %s: MinCount %d != %d", seed, sup, label, res.MinCount, want.MinCount)
+					}
 				}
 			}
 			pres, _, err := MinePCCD(d, Options{

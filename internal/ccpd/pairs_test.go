@@ -3,33 +3,38 @@ package ccpd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apriori"
 	"repro/internal/gen"
 	"repro/internal/robust"
+	"repro/internal/robust/ckpt"
 	"repro/internal/robust/faultinj"
 )
 
-// TestPairPassMatchesHashTree: iteration 2 through the pair pass gives
-// results deeply equal to the hash-tree iteration in every partition mode,
-// processor count and MaxK, and steps aside for the hash tree when the
+// TestPairPassMatchesHashTree: under Options.Project, iteration 2 through
+// the pair pass and every projected hash-tree iteration give results deeply
+// equal to the paper's counting in every partition mode, processor count
+// and MaxK. The pass steps aside for the projected hash tree when the
 // triangles would not fit the byte ceiling or the candidates would not fit
-// MaxCandidatesInMemory.
+// MaxCandidatesInMemory, and a budget that fits C(|F1|,2) but not C3 keeps
+// the pair pass and batches the projected k ≥ 3 trees.
 func TestPairPassMatchesHashTree(t *testing.T) {
 	d := testDB(t)
 	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
 		for _, procs := range []int{1, 2, 4} {
-			for _, maxK := range []int{0, 2} {
+			for _, maxK := range []int{0, 2, 3} {
 				opts := robustOpts()
 				opts.DBPart, opts.Procs, opts.MaxK = part, procs, maxK
 				want, wantSt, err := Mine(d, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.PairPass = true
+				opts.Project = true
 				got, gotSt, err := Mine(d, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -50,36 +55,42 @@ func TestPairPassMatchesHashTree(t *testing.T) {
 		}
 	}
 
-	// A candidate budget below C(|F1|,2) keeps the batched hash tree.
-	opts := robustOpts()
-	opts.MaxCandidatesInMemory = 500
-	want, _, err := Mine(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.PairPass = true
-	got, st, err := Mine(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("budget fallback: result differs")
-	}
-	if it := st.PerIter[1]; it.Paired() || it.Batches < 2 {
-		t.Errorf("budget %d with C(n,2)=%d: Paired=%v Batches=%d, want the batched hash tree",
-			opts.MaxCandidatesInMemory, it.Candidates, it.Paired(), it.Batches)
+	// A candidate budget below C(|F1|,2) keeps the batched hash tree at
+	// k=2; one above it runs the pair pass. Either way k=3 is batched.
+	for _, budget := range []int{500, 1000} {
+		opts := robustOpts()
+		opts.MaxCandidatesInMemory = budget
+		want, _, err := Mine(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Project = true
+		got, st, err := Mine(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: result differs", budget)
+		}
+		it2, it3 := st.PerIter[1], st.PerIter[2]
+		if paired := it2.Candidates <= budget; it2.Paired() != paired || (!paired && it2.Batches < 2) {
+			t.Errorf("budget %d with C(n,2)=%d: Paired=%v Batches=%d", budget, it2.Candidates, it2.Paired(), it2.Batches)
+		}
+		if it3.Batches < 2 {
+			t.Errorf("budget %d with %d candidates at k=3: Batches=%d, want batched", budget, it3.Candidates, it3.Batches)
+		}
 	}
 
-	// Procs triangles one byte over the ceiling keep the hash tree; at the
-	// ceiling the pass runs.
-	opts = robustOpts()
+	// Procs triangles one byte over the ceiling keep the (projected) hash
+	// tree at k=2; at the ceiling the pass runs.
+	opts := robustOpts()
 	opts.Procs = 2
 	want, wantSt, err := Mine(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	triangles := int64(opts.Procs) * int64(wantSt.PerIter[1].Candidates) * 4
-	opts.PairPass = true
+	opts.Project = true
 	for _, maxBytes := range []int64{triangles - 1, triangles} {
 		opts.pairMaxBytes = maxBytes
 		got, st, err := Mine(d, opts)
@@ -95,45 +106,71 @@ func TestPairPassMatchesHashTree(t *testing.T) {
 	}
 }
 
-// TestPairPassCancel cancels from inside the pair pass: the run returns the
-// F1-only partial result with a CanceledError naming the pass.
+// TestPairPassCancel cancels from inside the pair pass and from inside a
+// projected hash-tree count at k=3: the run returns the levels completed
+// before the cancelled phase, identical to a straight run's, with a
+// CanceledError naming that phase.
 func TestPairPassCancel(t *testing.T) {
 	d := testDB(t)
-	for _, part := range []DBPartition{PartitionBlock, PartitionStealing} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := robustOpts()
-		opts.DBPart, opts.PairPass = part, true
-		opts.FaultInj = faultinj.New(faultinj.Rule{
-			Phase: "pairs", K: 2, Worker: faultinj.Wildcard, Chunk: faultinj.Wildcard,
-			Action: faultinj.Call, Do: cancel, Once: true,
-		})
-		res, _, err := MineCtx(ctx, d, opts)
-		cancel()
-		var ce *robust.CanceledError
-		if !errors.As(err, &ce) || ce.Phase != "pairs" || ce.K != 2 {
-			t.Fatalf("%s: MineCtx = %v, want CanceledError at pairs/2", part, err)
-		}
-		if res == nil || len(res.ByK) != 2 {
-			t.Fatalf("%s: partial result %v, want F1 only", part, res)
+	want, _, err := Mine(d, robustOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []struct {
+		phase string
+		k     int
+	}{{"pairs", 2}, {"count", 3}} {
+		for _, part := range []DBPartition{PartitionBlock, PartitionStealing} {
+			label := fmt.Sprintf("%s %s/%d", part, at.phase, at.k)
+			ctx, cancel := context.WithCancel(context.Background())
+			opts := robustOpts()
+			opts.DBPart, opts.Project = part, true
+			opts.FaultInj = faultinj.New(faultinj.Rule{
+				Phase: at.phase, K: at.k, Worker: faultinj.Wildcard, Chunk: faultinj.Wildcard,
+				Action: faultinj.Call, Do: cancel, Once: true,
+			})
+			res, _, err := MineCtx(ctx, d, opts)
+			cancel()
+			var ce *robust.CanceledError
+			if !errors.As(err, &ce) || ce.Phase != at.phase || ce.K != at.k {
+				t.Fatalf("%s: MineCtx = %v, want CanceledError at %s/%d", label, err, at.phase, at.k)
+			}
+			if res == nil || len(res.ByK) != at.k {
+				t.Fatalf("%s: partial result %v, want levels below %d", label, res, at.k)
+			}
+			assertIdenticalByK(t, label, res.ByK, want.ByK[:at.k])
 		}
 	}
 }
 
-// TestPairPassResume: PairPass is part of the options fingerprint, and a
-// checkpointed run resumed before or after k=2 reproduces the straight run
-// bit for bit, work model included.
+// Options fingerprints of robustOpts().withDefaults() from before projected
+// counting, when the option was pair-pass-only: off, and on.
+const (
+	goldenFingerprintOff    = 0xdfa054ad796b4a1c
+	goldenFingerprintPaired = 0xfe9b1bb6845a943d
+)
+
+// TestPairPassResume: Project is part of the options fingerprint, and a
+// checkpointed run resumed before k=2, between k=2 and the projected k=3,
+// or after either reproduces the straight run bit for bit, work model
+// included. The fingerprint with the option off is unchanged, so
+// paper-configuration checkpoints still resume; a checkpoint written under
+// the pair-pass-only option is refused, since its k ≥ 3 work is unprojected.
 func TestPairPassResume(t *testing.T) {
 	off := robustOpts().withDefaults()
 	on := off
-	on.PairPass = true
-	if off.fingerprint() == on.fingerprint() {
-		t.Fatal("fingerprint ignores PairPass")
+	on.Project = true
+	if got := off.fingerprint(); got != goldenFingerprintOff {
+		t.Errorf("fingerprint with Project off = %#x, want %#x (paper-configuration checkpoints would stop resuming)", got, uint64(goldenFingerprintOff))
+	}
+	if got := on.fingerprint(); got == goldenFingerprintPaired || got == goldenFingerprintOff {
+		t.Errorf("fingerprint with Project on = %#x collides with a pre-projection fingerprint", got)
 	}
 
 	d := testDB(t)
-	for _, stopAt := range []int{1, 2} {
+	for _, stopAt := range []int{1, 2, 3, 4} {
 		opts := robustOpts()
-		opts.DBPart, opts.PairPass = PartitionStealing, true
+		opts.DBPart, opts.Project = PartitionStealing, true
 		want, wantSt, err := Mine(d, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -155,41 +192,87 @@ func TestPairPassResume(t *testing.T) {
 			t.Errorf("stop at k=%d: ModelTime %d (paired %v), straight %d",
 				stopAt, st.ModelTime(), st.PerIter[1].Paired(), wantSt.ModelTime())
 		}
-		resumed.PairPass = false
+		resumed.Project = false
 		if _, _, err := Resume(context.Background(), path, d, resumed); err == nil {
-			t.Errorf("stop at k=%d: resume without PairPass accepted a pair-pass checkpoint", stopAt)
+			t.Errorf("stop at k=%d: resume without Project accepted a projected checkpoint", stopAt)
 		}
+	}
+
+	// A checkpoint stamped with the pair-pass-only fingerprint is refused.
+	opts := robustOpts()
+	opts.Checkpoint, opts.MaxK = filepath.Join(t.TempDir(), "old.ckpt"), 2
+	if _, _, err := Mine(d, opts); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ckpt.ReadCheckpointFile(opts.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.OptsHash = goldenFingerprintPaired
+	if err := c.WriteFile(opts.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	opts.MaxK, opts.Project = 0, true
+	if _, _, err := Resume(context.Background(), opts.Checkpoint, d, opts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Errorf("resume under Project of a checkpoint written under the pair-pass-only option = %v, want a fingerprint mismatch", err)
 	}
 }
 
-// TestModelTimePinnedPairPass pins the work model with the pair pass on, on
-// TestModelTimePinned's dataset (whose own pins stay with the pass off).
-// Only k=2 differs from those pins: its CountWork is in item scans and
-// triangle increments, it has no generation or build work, and ReduceWork
-// is one unit per triangle cell.
-func TestModelTimePinnedPairPass(t *testing.T) {
+// TestModelTimePinnedProject pins the work model with Options.Project on,
+// on TestModelTimePinned's dataset (whose own pins stay with the option
+// off), as ModelTime per iteration k=1..8 and in total. k=1 and k=2 keep
+// their figures from before projected counting: k=2 is the pair pass, whose
+// CountWork is in item scans and triangle increments, with no generation or
+// build work and one ReduceWork unit per triangle cell. From k=3 on every
+// hash-tree walk is projected: it charges one WorkItemScan per item of each
+// transaction of at least k items and walks only the candidate items. The
+// pair-pass-only option gave 4,653,087 at P=1 (block: 2,150,522 at k=3,
+// 1,381,117 at k=4).
+func TestModelTimePinnedProject(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[DBPartition]map[int]int64{
-		PartitionBlock:    {1: 4653087, 4: 1448524},
-		PartitionWorkload: {1: 4653087, 4: 1429107},
-		PartitionStealing: {1: 4653087, 4: 1436307},
+	type pin struct {
+		total int64
+		iters []int64
+	}
+	want := map[DBPartition]map[int]pin{
+		PartitionBlock: {
+			1: {1033990, []int64{20873, 442243, 371793, 128325, 30743, 21681, 18332, 0}},
+			4: {519337, []int64{6122, 359862, 98121, 35946, 8643, 5833, 4810, 0}},
+		},
+		PartitionWorkload: {
+			1: {1033990, []int64{20873, 442243, 371793, 128325, 30743, 21681, 18332, 0}},
+			4: {517707, []int64{5972, 358811, 98583, 35142, 8503, 5728, 4968, 0}},
+		},
+		PartitionStealing: {
+			1: {1033990, []int64{20873, 442243, 371793, 128325, 30743, 21681, 18332, 0}},
+			4: {521547, []int64{6115, 360122, 100446, 35654, 8726, 5741, 4743, 0}},
+		},
 	}
 	for part, byProcs := range want {
-		for _, procs := range []int{1, 4} {
+		for procs, w := range byProcs {
 			_, st, err := Mine(d, Options{
 				Options: apriori.Options{AbsSupport: 10, ShortCircuit: true},
 				Procs:   procs, Balance: BalanceBitonic, AdaptiveMinUnits: 1,
-				DBPart: part, PairPass: true,
+				DBPart: part, Project: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := st.ModelTime(); got != byProcs[procs] {
+			if got := st.ModelTime(); got != w.total {
 				t.Errorf("%s procs=%d: ModelTime = %d, want %d (work model changed)",
-					part, procs, got, byProcs[procs])
+					part, procs, got, w.total)
+			}
+			if len(st.PerIter) != len(w.iters) {
+				t.Fatalf("%s procs=%d: %d iterations, want %d", part, procs, len(st.PerIter), len(w.iters))
+			}
+			for i := range st.PerIter {
+				if got := st.PerIter[i].ModelTime(procs); got != w.iters[i] {
+					t.Errorf("%s procs=%d k=%d: ModelTime = %d, want %d",
+						part, procs, st.PerIter[i].K, got, w.iters[i])
+				}
 			}
 		}
 	}

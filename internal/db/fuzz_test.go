@@ -8,7 +8,10 @@ import (
 )
 
 // FuzzRead throws arbitrary bytes at the binary reader: it must never
-// panic, and everything it accepts must round-trip identically.
+// panic, and everything it accepts must round-trip identically. The sized
+// path ReadFile takes (columns presized from the header and the input
+// length) must accept exactly what the unsized path accepts, with the same
+// transactions.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid database, a truncation of it, and garbage.
 	d := New(6)
@@ -26,8 +29,20 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
+		sized, sizedErr := read(bytes.NewReader(data), int64(len(data)))
+		if (err == nil) != (sizedErr == nil) {
+			t.Fatalf("unsized read error %v, sized read error %v", err, sizedErr)
+		}
 		if err != nil {
 			return
+		}
+		if sized.Len() != got.Len() {
+			t.Fatalf("sized read has %d transactions, unsized %d", sized.Len(), got.Len())
+		}
+		for i := 0; i < got.Len(); i++ {
+			if sized.TID(i) != got.TID(i) || !sized.Items(i).Equal(got.Items(i)) {
+				t.Fatalf("sized read differs at transaction %d", i)
+			}
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("accepted database fails validation: %v", err)

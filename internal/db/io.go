@@ -27,12 +27,15 @@ import (
 const (
 	magic   = 0x41524442 // "ARDB"
 	version = 1
+
+	headerLen = 20 // magic, version, numItem, count
+	rowLen    = 12 // tid and len of one transaction record
 )
 
 // Write streams the database to w in the binary format.
 func (d *Database) Write(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [20]byte
+	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(d.numItem))
@@ -40,7 +43,7 @@ func (d *Database) Write(w io.Writer) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var buf [12]byte
+	var buf [rowLen]byte
 	for i := 0; i < d.Len(); i++ {
 		items := d.Items(i)
 		binary.LittleEndian.PutUint64(buf[0:], uint64(d.tids[i]))
@@ -79,7 +82,7 @@ func DecodeTransactions(r io.Reader, count uint64, numItems int, emit func(tid i
 	if !ok {
 		br = bufio.NewReaderSize(r, decodeWindow)
 	}
-	var hdr [12]byte
+	var hdr [rowLen]byte
 	raw := make([]byte, decodeWindow)
 	items := make(itemset.Itemset, 0, 256)
 	for t := uint64(0); t < count; t++ {
@@ -123,9 +126,14 @@ func DecodeTransactions(r io.Reader, count uint64, numItems int, emit func(tid i
 }
 
 // Read parses a database from r.
-func Read(r io.Reader) (*Database, error) {
+func Read(r io.Reader) (*Database, error) { return read(r, -1) }
+
+// read parses a database from r. size, when non-negative, is the byte length
+// of the input, which lets the columns be allocated once instead of grown by
+// doubling (see presize).
+func read(r io.Reader, size int64) (*Database, error) {
 	br := bufio.NewReaderSize(r, decodeWindow)
-	var hdr [20]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("db: reading header: %w", err)
 	}
@@ -141,6 +149,7 @@ func Read(r io.Reader) (*Database, error) {
 	}
 	count := binary.LittleEndian.Uint64(hdr[12:])
 	d := New(numItem)
+	d.presize(count, size)
 	// External files can legitimately exceed the int32-offset arena (2³¹−1
 	// item occurrences); TryAppend surfaces that as a read error instead of
 	// the silent offset wrap-around the unchecked append used to allow.
@@ -148,6 +157,24 @@ func Read(r io.Reader) (*Database, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// presize allocates the columns of a database of count transactions read
+// from a size-byte file: the tids and offsets hold count rows, and the arena
+// holds every item the records after the row headers can carry. It does
+// nothing when size is unknown (negative) or when count rows of rowLen bytes
+// would not fit the file, so a header cannot force an allocation larger than
+// the file; the arena is left to grow when it would exceed the arena cap,
+// so the decoder reports ErrArenaFull at the offending transaction.
+func (d *Database) presize(count uint64, size int64) {
+	if size < headerLen || count > uint64(size-headerLen)/rowLen {
+		return
+	}
+	d.tids = make([]int64, 0, count)
+	d.offsets = make([]int32, 1, count+1)
+	if items := (uint64(size-headerLen) - rowLen*count) / 4; items <= uint64(maxArenaItems) {
+		d.arena = make([]itemset.Item, 0, items)
+	}
 }
 
 // WriteFile writes the database to path.
@@ -163,12 +190,18 @@ func (d *Database) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadFile loads a database from path.
+// ReadFile loads a database from path, allocating its columns once from the
+// header's transaction count and the file size.
 func ReadFile(path string) (*Database, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// A pipe or device reports size 0, which presizes nothing.
+	return read(f, st.Size())
 }

@@ -1,8 +1,12 @@
 package db
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -94,5 +98,57 @@ func TestReadRefusesArenaOverflow(t *testing.T) {
 	maxArenaItems = 10
 	if _, err := ReadFile(path); err != nil {
 		t.Fatalf("ReadFile under sufficient cap: %v", err)
+	}
+}
+
+// TestReadFileRefusesLyingCount: a header claiming 2⁴⁰ transactions in a
+// file that holds two fails with a read error at the first missing record,
+// and the presizing that ReadFile does from the header allocates nothing
+// near 2⁴⁰ rows first.
+func TestReadFileRefusesLyingCount(t *testing.T) {
+	d := New(6)
+	d.Append(0, itemset.New(0, 1, 2, 3))
+	d.Append(1, itemset.New(4, 5))
+	var buf bytes.Buffer
+	if err := d.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data[12:], 1<<40)
+	path := filepath.Join(t.TempDir(), "lying.ardb")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "transaction 2 header") {
+		t.Fatalf("ReadFile = %v, want a read error at transaction 2", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("ReadFile allocated %d bytes for a %d-byte file", grew, len(data))
+	}
+}
+
+// TestReadFilePresizes: a well-formed file is read into columns allocated
+// once at their final size.
+func TestReadFilePresizes(t *testing.T) {
+	d := New(10)
+	for i := 0; i < 100; i++ {
+		d.Append(int64(i), itemset.New(itemset.Item(i%10), itemset.Item(i%7+1)))
+	}
+	path := filepath.Join(t.TempDir(), "d.ardb")
+	if err := d.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.tids) != d.Len() || cap(got.offsets) != d.Len()+1 || cap(got.arena) != int(d.TotalItems()) {
+		t.Errorf("column capacities %d/%d/%d, want %d/%d/%d", cap(got.tids), cap(got.offsets), cap(got.arena),
+			d.Len(), d.Len()+1, d.TotalItems())
 	}
 }

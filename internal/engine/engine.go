@@ -74,16 +74,17 @@ type Spec struct {
 }
 
 // ccpdOptions lowers a Spec onto the CCPD option struct. The production
-// path counts k=2 with the pair pass; PCCD and the segmented path ignore it
-// and keep the hash tree, so the equivalence suite still checks the pass
-// against independent code.
+// path counts k=2 with the pair pass and walks every hash tree over each
+// transaction's candidate items (ccpd.Options.Project); PCCD and the
+// segmented path ignore it and keep the paper's counting, so the
+// equivalence suite still checks both against independent code.
 func (s Spec) ccpdOptions() ccpd.Options {
 	return ccpd.Options{
 		Options: s.Mining,
 		Procs:   s.Procs, Counter: s.Counter, Balance: s.Balance,
 		DBPart: s.DBPart, ChunkSize: s.ChunkSize,
 		Obs: s.Obs, Checkpoint: s.Checkpoint,
-		PairPass: true,
+		Project: true,
 	}
 }
 

@@ -139,6 +139,15 @@ type CountOpts struct {
 	// only leaves deduplicate (required for correct counts — the paper's
 	// unoptimized base case).
 	ShortCircuit bool
+	// Project walks each transaction projected onto the items that occur in
+	// some candidate of the tree, and skips a transaction left with fewer
+	// than k items: DHP's transaction trimming (Park, Chen and Yu, SIGMOD
+	// 1995). Counts are unchanged; the walk hashes only items that can lead
+	// to a candidate, and the projection charges WorkItemScan per item it
+	// reads. It applies to CountCtx only, and only while Flat's item-stamp
+	// fast path is on (no negative candidate item); otherwise the walk is
+	// unprojected.
+	Project bool
 	// Proc is the processor identity (private counters, trace attribution).
 	Proc int
 }
@@ -204,6 +213,11 @@ type CountCtx struct {
 	// by Flat.stampLen; nil disables the fast path (negative candidate items).
 	itemStamp []uint64
 
+	// proj receives the projected transaction (CountOpts.Project): sized by
+	// Flat.candItems, which bounds the candidate items of a strictly sorted
+	// transaction. nil walks unprojected.
+	proj itemset.Itemset
+
 	stack []walkFrame
 
 	counters *Counters
@@ -225,6 +239,9 @@ func (t *Tree) NewCountCtx(counters *Counters, opts CountOpts) *CountCtx {
 	ctx.leafStamp = make([]uint64, f.NumNodes())
 	if f.stampLen > 0 {
 		ctx.itemStamp = make([]uint64, f.stampLen)
+		if opts.Project {
+			ctx.proj = make(itemset.Itemset, f.candItems)
+		}
 	}
 	ctx.stack = make([]walkFrame, k+1)
 	return ctx
@@ -235,7 +252,9 @@ func (t *Tree) NewCountCtx(counters *Counters, opts CountOpts) *CountCtx {
 // the transaction items that can still start a valid k-subset suffix. The
 // traversal is iterative over the frozen SoA layout — no recursion, no heap
 // allocation — but visits nodes in exactly the order of the recursive walk,
-// so counts, traces and modelled work units are bit-identical to it.
+// so counts, traces and modelled work units are bit-identical to it. Under
+// CountOpts.Project the walk runs over the transaction's candidate items
+// only, with the same counts.
 //
 //armlint:noalloc
 func (ctx *CountCtx) CountTransaction(items itemset.Itemset) {
@@ -245,7 +264,24 @@ func (ctx *CountCtx) CountTransaction(items itemset.Itemset) {
 		return
 	}
 	ctx.txSerial++
-	if stamp := ctx.itemStamp; stamp != nil {
+	if proj := ctx.proj; proj != nil {
+		// Project and stamp in one scan. Every stamped item is a candidate
+		// item, which is all the containment test probes.
+		ctx.Work += int64(len(items)) * WorkItemScan
+		in, stamp, serial := f.candItem, ctx.itemStamp, ctx.txSerial
+		n := 0
+		for _, it := range items {
+			if uint(it) < uint(len(in)) && in[it] {
+				proj[n] = it
+				stamp[it] = serial
+				n++
+			}
+		}
+		if n < k {
+			return
+		}
+		items = proj[:n]
+	} else if stamp := ctx.itemStamp; stamp != nil {
 		n := itemset.Item(len(stamp))
 		for _, it := range items {
 			if it >= 0 && it < n {

@@ -43,6 +43,14 @@ type Flat struct {
 	// 0 when some candidate item is negative (malformed input) — contexts
 	// then fall back to the merge-walk containment test.
 	stampLen int
+
+	// candItem[it] reports whether item it occurs in some candidate, for it
+	// in [0, stampLen); candItems counts its true entries. Projected
+	// counting (CountOpts.Project) keeps only those transaction items, so a
+	// projected transaction never holds more than candItems items. nil
+	// exactly when stampLen is 0.
+	candItem  []bool
+	candItems int
 }
 
 // NumNodes returns the node count of the frozen tree.
@@ -104,6 +112,15 @@ func (t *Tree) buildFlat() *Flat {
 		}
 	}
 	f.stampLen = int(maxItem) + 1
+	if f.stampLen > 0 {
+		f.candItem = make([]bool, f.stampLen)
+		for _, it := range t.cands {
+			if !f.candItem[it] {
+				f.candItem[it] = true
+				f.candItems++
+			}
+		}
+	}
 	var internal, leafCands int
 	for _, n := range t.nodes {
 		if n.isLeaf() {

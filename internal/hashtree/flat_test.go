@@ -7,8 +7,35 @@ import (
 	"repro/internal/itemset"
 )
 
-// TestFlatShape checks the frozen SoA view against the pointer structure.
+// TestFlatShape checks the frozen SoA view against the pointer structure,
+// and the candidate-item set it records for projected counting against the
+// candidates, with the projection buffer a context sizes from it.
 func TestFlatShape(t *testing.T) {
+	sparse, err := Build(Config{K: 3, Fanout: 3, Threshold: 2, NumItems: 16},
+		[]itemset.Itemset{itemset.New(1, 3, 5), itemset.New(3, 5, 9), itemset.New(1, 5, 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := sparse.Freeze()
+	if sf.stampLen != 10 || len(sf.candItem) != 10 || sf.candItems != 4 {
+		t.Fatalf("stampLen %d, candItem len %d, candItems %d; want 10, 10, 4", sf.stampLen, len(sf.candItem), sf.candItems)
+	}
+	for it, in := range sf.candItem {
+		if want := it == 1 || it == 3 || it == 5 || it == 9; in != want {
+			t.Fatalf("candItem[%d] = %v, want %v", it, in, want)
+		}
+	}
+	for _, project := range []bool{false, true} {
+		ctx := sparse.NewCountCtx(NewCounters(CounterPrivate, sparse.NumCandidates(), 1), CountOpts{Project: project})
+		want := 0
+		if project {
+			want = sf.candItems
+		}
+		if len(ctx.proj) != want || (ctx.proj != nil) != project {
+			t.Fatalf("project=%v: projection buffer len %d (nil %v), want %d", project, len(ctx.proj), ctx.proj == nil, want)
+		}
+	}
+
 	cands := combinations(12, 3)
 	tr, err := Build(Config{K: 3, Fanout: 3, Threshold: 2, NumItems: 12}, cands)
 	if err != nil {
@@ -242,23 +269,26 @@ func (r *recursiveRef) walk(id int32, items itemset.Itemset, start int) {
 
 // TestCountTransactionZeroAlloc is the allocation regression gate for the
 // counting kernel: steady-state CountTransaction must not touch the heap, in
-// any counter mode.
+// any counter mode, projected or not. The transaction carries items past
+// the candidates' range, which the projection drops.
 func TestCountTransactionZeroAlloc(t *testing.T) {
 	cands := combinations(16, 3)
-	tr, err := Build(Config{K: 3, Fanout: 4, Threshold: 3, NumItems: 16}, cands)
+	tr, err := Build(Config{K: 3, Fanout: 4, Threshold: 3, NumItems: 24}, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := itemset.New(0, 2, 3, 5, 7, 8, 10, 11, 13, 15)
+	tx := itemset.New(0, 2, 3, 5, 7, 8, 10, 11, 13, 15, 17, 20, 23)
 	for _, mode := range []CounterMode{CounterLocked, CounterAtomic, CounterPrivate} {
 		for _, sc := range []bool{false, true} {
-			counters := NewCounters(mode, tr.NumCandidates(), 1)
-			ctx := tr.NewCountCtx(counters, CountOpts{ShortCircuit: sc})
-			allocs := testing.AllocsPerRun(50, func() {
-				ctx.CountTransaction(tx)
-			})
-			if allocs != 0 {
-				t.Errorf("mode=%v sc=%v: %v allocs/op, want 0", mode, sc, allocs)
+			for _, project := range []bool{false, true} {
+				counters := NewCounters(mode, tr.NumCandidates(), 1)
+				ctx := tr.NewCountCtx(counters, CountOpts{ShortCircuit: sc, Project: project})
+				allocs := testing.AllocsPerRun(50, func() {
+					ctx.CountTransaction(tx)
+				})
+				if allocs != 0 {
+					t.Errorf("mode=%v sc=%v project=%v: %v allocs/op, want 0", mode, sc, project, allocs)
+				}
 			}
 		}
 	}
