@@ -217,6 +217,10 @@ func run(o cliOptions) error {
 			return err
 		}
 		if segmented {
+			// -resume needs -checkpoint (validate), so this covers both.
+			if o.Checkpoint != "" {
+				return usagef("-checkpoint/-resume require an in-RAM database; segmented stores mine without checkpoints")
+			}
 			if o.MMap {
 				r, err = seg.OpenMapped(o.DBPath)
 			} else {

@@ -199,6 +199,34 @@ func TestRunSegmentedStore(t *testing.T) {
 			t.Error("-mem-budget without a segmented -db should fail")
 		}
 	}
+	// -checkpoint and -resume are usage errors on a segmented store, caught
+	// before anything is mined: the resume case once handed ccpd a nil
+	// database and crashed, even with a valid checkpoint of the same data.
+	ckptPath := filepath.Join(t.TempDir(), "d.ckpt")
+	{
+		o := base()
+		o.GenSpec = ""
+		o.DBPath = filepath.Join(t.TempDir(), "d.ardb")
+		if err := d.WriteFile(o.DBPath); err != nil {
+			t.Fatal(err)
+		}
+		o.Checkpoint = ckptPath
+		o.MaxK = 2
+		if err := run(o); err != nil {
+			t.Fatalf("in-RAM checkpointed run: %v", err)
+		}
+	}
+	for _, resume := range []bool{false, true} {
+		o := base()
+		o.GenSpec = ""
+		o.DBPath = path
+		o.Checkpoint = ckptPath
+		o.Resume = resume
+		var ue *usageError
+		if err := run(o); !errors.As(err, &ue) || !strings.Contains(err.Error(), "checkpoint") {
+			t.Errorf("segmented -checkpoint (resume %v): err = %v, want usage error", resume, err)
+		}
+	}
 }
 
 // TestParseByteSize pins the K/M/G suffix parser.

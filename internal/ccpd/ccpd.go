@@ -128,17 +128,18 @@ type Options struct {
 	// phase/chunk granularity — tests and CI smoke only; a nil injector
 	// compiles to a nil check at every site.
 	FaultInj *faultinj.Injector
-	// Project switches an in-RAM MineCtx or Resume to the production
+	// Project switches MineCtx, Resume and MineSegmented to the production
 	// counting path. Iteration 2 runs as one pass over private per-worker
 	// pair triangles (apriori.PairCount) instead of candidate generation,
 	// tree build, hash-tree count and reduce; the pass steps aside for the
-	// hash tree when Procs triangles would exceed apriori.PairPassMaxBytes
-	// or C(|F1|,2) exceeds a set MaxCandidatesInMemory. Every hash-tree
-	// walk (k ≥ 3, that k=2 fallback, each candidate batch) counts each
-	// transaction projected onto the tree's candidate items
+	// hash tree when Procs triangles would exceed apriori.PairPassMaxBytes,
+	// C(|F1|,2) exceeds a set MaxCandidatesInMemory, or the source holds
+	// more than 2³¹−1 transactions (an int32 cell could overflow). Every
+	// hash-tree walk (k ≥ 3, that k=2 fallback, each candidate batch)
+	// counts each transaction projected onto the tree's candidate items
 	// (hashtree.CountOpts.Project). The output is bit-identical; the work
 	// model differs, so the default (off) keeps the paper's counting.
-	// PCCD and MineSegmented ignore it.
+	// PCCD ignores it.
 	Project bool
 
 	// pairMaxBytes overrides apriori.PairPassMaxBytes in tests (0: the
@@ -345,12 +346,16 @@ func (s *Stats) TotalSteals() int64 {
 	return t
 }
 
-// miner is the per-run state shared by MineCtx, MineSegmented and Resume:
-// the data source (in-RAM database or segmented store), resolved options,
-// persistent pool, recorder, and the result/stats being accumulated.
+// miner is the per-run state shared by MineCtx, MineSegmented, Resume and
+// PCCD's iteration 1: the data source (in-RAM database or segmented store),
+// resolved options, persistent pool, recorder, and the result/stats being
+// accumulated.
 type miner struct {
-	d        *db.Database // in-RAM source; nil for out-of-core runs
-	src      *segSource   // segmented source; nil for in-RAM runs
+	d        *db.Database  // in-RAM source; nil for out-of-core runs
+	store    *seg.Reader   // segmented source; nil for in-RAM runs
+	pipe     *seg.Pipeline // the store's pipeline, serving every pass of the run
+	numTx    int
+	numItems int
 	opts     Options
 	pool     *sched.Pool
 	rec      *obs.Recorder
@@ -362,19 +367,12 @@ type miner struct {
 	ckpts    int // checkpoints written (exported as a gauge)
 }
 
-// numItems returns the item universe size of whichever source backs the run.
-func (m *miner) numItems() int {
-	if m.src != nil {
-		return m.src.r.NumItems()
-	}
-	return m.d.NumItems()
-}
-
 // newMiner builds the in-RAM run state; the returned cleanup must run when
 // the mine completes (it unhooks the recorder and closes the pool).
 func newMiner(d *db.Database, opts Options) (*miner, func()) {
 	m := &miner{
-		d: d, opts: opts, fi: opts.FaultInj,
+		d: d, numTx: d.Len(), numItems: d.NumItems(),
+		opts: opts, fi: opts.FaultInj,
 		minCount: opts.MinCount(d.Len()),
 		rec:      opts.Obs,
 	}
@@ -456,7 +454,7 @@ func (m *miner) mine(ctx context.Context, start time.Time) (*apriori.Result, *St
 		return nil, nil, err
 	}
 	m.res.ByK[1] = f1
-	numItems := m.numItems()
+	numItems := m.numItems
 	it1 := PhaseTiming{
 		K: 1, Count: time.Since(t0), Candidates: numItems, Frequent: len(f1),
 		CountWork: f1Work, Batches: 1,
@@ -476,26 +474,13 @@ func (m *miner) mine(ctx context.Context, start time.Time) (*apriori.Result, *St
 
 	err = m.loop(ctx, 2, prev)
 	m.stats.Total = time.Since(start)
-	if m.src != nil {
-		ps := m.src.pipe.Stats()
+	if m.pipe != nil {
+		ps := m.pipe.Stats()
 		m.stats.OutOfCore = &ps
 		m.rec.SetGauge("armine_ooc_segments_streamed", float64(ps.Segments))
 		m.rec.SetGauge("armine_ooc_stall_fraction", ps.StallFraction())
 	}
 	return m.finish(err)
-}
-
-// frequentOne runs iteration 1 on whichever source backs the run, returning
-// F1 together with its modelled per-processor counting work.
-func (m *miner) frequentOne(ctx context.Context) ([]apriori.FrequentItemset, []int64, error) {
-	if m.src != nil {
-		return m.src.frequentOne(ctx, m)
-	}
-	f1, err := parallelFrequentOne(ctx, m.d, m.minCount, m.pool, m.fi, m.opts.ChunkSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f1, iterOneCountWork(m.d, m.opts), nil
 }
 
 // finish maps the loop's error to the Mine return contract: cancellation
@@ -611,15 +596,16 @@ func (m *miner) iterate(ctx context.Context, k int, prev []itemset.Itemset) (fk 
 }
 
 // pairPassFits reports whether iteration 2 over n frequent items runs as the
-// pair pass: the option is on, the database is in RAM, Procs triangles fit
-// the byte ceiling, and the C(n,2) cells fit a set candidate budget, as the
-// hash tree's candidates would have to. The ceiling is what bounds the pass:
-// its triangles cost 4·Procs bytes a pair, against some 20–30 for the hash
-// tree's candidate, leaf slot and counter, so from about six workers on they
-// outgrow the tree they replace.
+// pair pass: the option is on, Procs triangles fit the byte ceiling, the
+// C(n,2) cells fit a set candidate budget, as the hash tree's candidates
+// would have to, and no int32 cell can overflow (a cell counts each
+// transaction at most once, and a segmented store may hold more than 2³¹−1).
+// The ceiling is what bounds the pass: its triangles cost 4·Procs bytes a
+// pair, against some 20–30 for the hash tree's candidate, leaf slot and
+// counter, so from about six workers on they outgrow the tree they replace.
 func (m *miner) pairPassFits(n int) bool {
 	lim := m.opts.MaxCandidatesInMemory
-	return m.opts.Project && m.src == nil && n >= 2 &&
+	return m.opts.Project && n >= 2 && m.numTx <= math.MaxInt32 &&
 		apriori.PairTrianglesFit(m.opts.Procs, n, m.opts.pairMaxBytes) &&
 		(lim <= 0 || apriori.PairCells(n) <= int64(lim))
 }
@@ -639,7 +625,7 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 	if err := robust.Canceled(ctx, "pairs", k); err != nil {
 		return nil, err
 	}
-	pc := apriori.NewPairCount(m.res.ByK[1], m.numItems())
+	pc := apriori.NewPairCount(m.res.ByK[1], m.numItems)
 	cells := pc.Cells()
 	pt := PhaseTiming{K: k, Candidates: cells, Batches: 1}
 	tris := make([][]int32, opts.Procs)
@@ -647,13 +633,13 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 	t0 := time.Now()
 	m.rec.SetPhase(obs.PhasePairs, k)
 	m.rec.BeginPhase(obs.PhasePairs, k)
-	cr, err := countPhase(ctx, m.d, func(p int) rangeCounter {
+	cr, err := m.countPhase(ctx, "pairs", k, func(p int) rangeCounter {
 		tri, scratch := make([]int32, cells), make([]int32, pc.N())
 		tris[p] = tri
-		return func(ctx context.Context, lo, hi int) int64 {
-			return pc.CountRange(ctx, tri, scratch, m.d, lo, hi, opts.ChunkSize)
+		return func(ctx context.Context, d *db.Database, lo, hi int) int64 {
+			return pc.CountRange(ctx, tri, scratch, d, lo, hi, opts.ChunkSize)
 		}
-	}, opts, "pairs", k, m.pool)
+	})
 	m.rec.EndPhase(obs.PhasePairs, k)
 	if err != nil {
 		return nil, annotate(err, "pairs", k)
@@ -711,7 +697,7 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	t0 := time.Now()
 	cfg := hashtree.Config{
 		K: k, Fanout: opts.Fanout, Threshold: opts.Threshold,
-		Hash: opts.Hash, NumItems: m.numItems(), Labels: m.labels,
+		Hash: opts.Hash, NumItems: m.numItems, Labels: m.labels,
 	}
 	m.rec.SetPhase(obs.PhaseTreeBuild, k)
 	m.rec.BeginPhase(obs.PhaseTreeBuild, k)
@@ -726,12 +712,19 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	counters := hashtree.NewCounters(opts.Counter, tree.NumCandidates(), opts.Procs)
 	m.rec.SetPhase(obs.PhaseCount, k)
 	m.rec.BeginPhase(obs.PhaseCount, k)
-	var cr countResult
-	if m.src != nil {
-		cr, err = m.src.countPhase(ctx, m, tree, counters, k)
-	} else {
-		cr, err = countPhase(ctx, m.d, treeCounters(m.d, tree, counters, opts), opts, "count", k, m.pool)
-	}
+	cr, err := m.countPhase(ctx, "count", k, func(p int) rangeCounter {
+		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Project: opts.Project, Proc: p})
+		return func(ctx context.Context, d *db.Database, lo, hi int) int64 {
+			before := c.Work
+			for i := lo; i < hi; i++ {
+				if (i-lo)%opts.ChunkSize == 0 && ctx.Err() != nil {
+					break
+				}
+				c.CountTransaction(d.Items(i))
+			}
+			return c.Work - before
+		}
+	})
 	m.rec.EndPhase(obs.PhaseCount, k)
 	if err != nil {
 		return nil, annotate(err, "count", k)
@@ -799,40 +792,112 @@ func splitRange(p, procs, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// iterOneCountWork models the per-processor work of the iteration-1 item
-// counting pass under the selected partition mode. The pass itself always
-// runs block-partitioned with private count arrays (parallelFrequentOne) —
-// item counting has no hash-tree walk to balance — but the *model* must
-// follow opts.DBPart: attributing block-partition work to a workload or
-// stealing run misstated per-processor CountWork and every idle/balance
-// figure derived from it. Stealing uses the same deterministic greedy
-// list-schedule over per-chunk work that countPhase reports, so k=1 and k≥2
-// figures are attributed consistently.
-func iterOneCountWork(d *db.Database, opts Options) []int64 {
-	if opts.DBPart == PartitionStealing {
-		n := d.Len()
-		numChunks := sched.NumChunks(n, opts.ChunkSize)
-		chunkWork := make([]int64, numChunks)
-		//armlint:allow ctxpoll bounded per-chunk estimation before the phase starts; cancellation is observed at the phase boundary
-		for c := range chunkWork {
-			lo, hi := sched.ChunkRange(n, opts.ChunkSize, c)
-			s := db.Slice{DB: d, Lo: lo, Hi: hi}
-			chunkWork[c] = s.EstimatedWork(1) * hashtree.WorkItemScan
+// forEachSegment runs fn over the run's source one segment at a time,
+// passing the segment's global transaction offset. A segmented store streams
+// through its pipeline; the in-RAM database is the single segment −1 at
+// offset 0, so its fault-injection sites name no segment. A pass canceled
+// between segments returns nil: the caller's robust.Canceled check discards
+// the partial pass, as it does an interrupted in-RAM pass.
+func (m *miner) forEachSegment(ctx context.Context, fn func(si, base int, sd *db.Database) error) error {
+	if m.pipe == nil {
+		return fn(-1, 0, m.d)
+	}
+	err := m.pipe.ForEach(ctx, func(si int, sd *db.Database) error {
+		return fn(si, int(m.store.Segment(si).TxOff), sd) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction offset converts losslessly
+	})
+	if err != nil && errors.Is(err, ctx.Err()) {
+		return nil
+	}
+	return err
+}
+
+// staticRanges returns each processor's global transaction range under the
+// static partition of iteration k: the workload split's Σ C(|t|,k) balance
+// (in RAM only), otherwise equal transaction counts. Stealing's iteration 1
+// counts these block ranges too.
+func (m *miner) staticRanges(k int) []db.Slice {
+	if m.opts.DBPart == PartitionWorkload {
+		return m.d.WorkloadPartition(m.opts.Procs, k)
+	}
+	out := make([]db.Slice, m.opts.Procs)
+	for p := range out {
+		out[p].Lo, out[p].Hi = splitRange(p, m.opts.Procs, m.numTx)
+	}
+	return out
+}
+
+// chunkSpan returns the global chunk ids overlapping transactions [base, end).
+func chunkSpan(base, end, chunkSize int) (cLo, cHi int) {
+	if end <= base {
+		return 0, 0
+	}
+	return base / chunkSize, (end + chunkSize - 1) / chunkSize
+}
+
+// frequentOne is iteration 1: each worker counts the items of its static
+// range, clipped to each segment, into a private array, and F1 is their
+// sum. The returned work model follows DBPart in item scans: Σ|t| over each
+// processor's static range, or under stealing the greedy list-schedule over
+// per-chunk Σ|t|, so k=1 is attributed as the k ≥ 2 passes are. On
+// cancellation the caller must discard the partial counts — it checks the
+// context before using the result.
+func (m *miner) frequentOne(ctx context.Context) ([]apriori.FrequentItemset, []int64, error) {
+	procs, cs := m.opts.Procs, m.opts.ChunkSize
+	ranges := m.staticRanges(1)
+	local := make([][]int64, procs)
+	for p := range local {
+		local[p] = make([]int64, m.numItems)
+	}
+	work := make([]int64, procs)
+	var chunkWork []int64
+	if m.opts.DBPart == PartitionStealing {
+		chunkWork = make([]int64, sched.NumChunks(m.numTx, cs))
+	}
+	err := m.forEachSegment(ctx, func(si, base int, sd *db.Database) error {
+		end := base + sd.Len()
+		if chunkWork != nil {
+			cLo, cHi := chunkSpan(base, end, cs)
+			//armlint:allow ctxpoll per-chunk estimation over one resident segment; the segment loop polls between segments
+			for c := cLo; c < cHi; c++ {
+				s := db.Slice{DB: sd, Lo: max(c*cs, base) - base, Hi: min((c+1)*cs, end) - base}
+				chunkWork[c] += s.EstimatedWork(1) * hashtree.WorkItemScan
+			}
 		}
-		return sched.GreedySchedule(chunkWork, opts.Procs)
+		return m.pool.Run(func(p int) {
+			m.fi.Fire("f1", 1, p, si)
+			counts := local[p]
+			lo, hi := max(ranges[p].Lo, base)-base, min(ranges[p].Hi, end)-base
+			var scans int64
+			for i := lo; i < hi; i++ {
+				if (i-lo)%cs == 0 && ctx.Err() != nil {
+					break
+				}
+				t := sd.Items(i)
+				scans += int64(len(t))
+				for _, it := range t {
+					counts[it]++
+				}
+			}
+			work[p] += scans * hashtree.WorkItemScan
+		})
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	work := make([]int64, opts.Procs)
-	var slices []db.Slice
-	if opts.DBPart == PartitionWorkload {
-		slices = d.WorkloadPartition(opts.Procs, 1)
-	} else {
-		slices = d.BlockPartition(opts.Procs)
+	var out []apriori.FrequentItemset
+	for it := 0; it < m.numItems; it++ {
+		var c int64
+		for _, counts := range local {
+			c += counts[it]
+		}
+		if c >= m.minCount {
+			out = append(out, apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
+		}
 	}
-	//armlint:allow ctxpoll bounded per-slice estimation before the phase starts; cancellation is observed at the phase boundary
-	for p, s := range slices {
-		work[p] = s.EstimatedWork(1) * hashtree.WorkItemScan
+	if chunkWork != nil {
+		work = sched.GreedySchedule(chunkWork, procs)
 	}
-	return work
+	return out, work, nil
 }
 
 // countResult is one counting pass's deterministic accounting: per-processor
@@ -844,123 +909,118 @@ type countResult struct {
 	Idle    time.Duration
 }
 
-// rangeCounter is one worker's kernel for an in-RAM counting pass, over the
-// hash tree or, in the k=2 pair pass, into a private pair triangle. It counts
-// transactions [lo, hi), polling ctx every ChunkSize transactions, and
-// returns their work units.
-type rangeCounter func(ctx context.Context, lo, hi int) int64
+// rangeCounter is one worker's kernel for a counting pass, over the hash
+// tree or, in the k=2 pair pass, into a private pair triangle. It counts
+// transactions [lo, hi) of one segment d, polling ctx every ChunkSize
+// transactions, and returns their work units.
+type rangeCounter func(ctx context.Context, d *db.Database, lo, hi int) int64
 
-// treeCounters builds each worker's rangeCounter over the hash tree,
-// projecting transactions under Options.Project.
-func treeCounters(d *db.Database, tree *hashtree.Tree, counters *hashtree.Counters, opts Options) func(p int) rangeCounter {
-	return func(p int) rangeCounter {
-		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Project: opts.Project, Proc: p})
-		return func(ctx context.Context, lo, hi int) int64 {
-			before := c.Work
-			for i := lo; i < hi; i++ {
-				if (i-lo)%opts.ChunkSize == 0 && ctx.Err() != nil {
-					break
-				}
-				c.CountTransaction(d.Items(i))
-			}
-			return c.Work - before
-		}
-	}
-}
-
-// countPhase runs one counting pass over the in-RAM database on the pool,
-// with the per-worker kernels newCounter builds, and returns its accounting.
-// phase names the fault-injection sites.
+// countPhase runs one counting pass over the run's source on the pool and
+// returns its accounting. newCounter builds worker p's kernel once per pass;
+// the worker keeps it across segments, so the pass counts exactly what a
+// pass over the concatenated database would. phase names the
+// fault-injection sites.
 //
-// Static modes count fixed per-processor slices, polling for cancellation
-// every ChunkSize transactions. PartitionStealing cuts the database into
-// ChunkSize-transaction chunks claimed at runtime from seeded deques,
-// checking the context at each claim; the racy runtime assignment makes the
-// observed per-processor work non-reproducible, so CountWork is instead the
-// deterministic greedy list-schedule over the per-chunk work units —
-// reproducible across runs, and summing bit-identically to any static split
-// because per-transaction work does not depend on who counts it.
-func countPhase(ctx context.Context, d *db.Database, newCounter func(p int) rangeCounter, opts Options, phase string, k int, pool *sched.Pool) (countResult, error) {
-	procs := opts.Procs
-	rec := opts.Obs
-	fi := opts.FaultInj
+//   - Static modes: worker p counts its global range (staticRanges) clipped
+//     to each segment — the same transactions, in the same order, as over
+//     the whole database — polling for cancellation every ChunkSize
+//     transactions.
+//   - PartitionStealing keeps the global ChunkSize grid: each segment seeds
+//     a deque set with its overlapping chunks, claimed at runtime with a
+//     context check at each claim. A chunk straddling a segment edge is
+//     counted in two pieces, one per segment (the pool barrier sits between
+//     them), so ChunksClaimed sums to the chunk count plus one per straddled
+//     edge. The racy runtime assignment makes the observed per-processor
+//     work non-reproducible, so CountWork is instead the deterministic
+//     greedy list-schedule over the per-chunk work units — reproducible,
+//     equal for any segmentation, and summing bit-identically to any static
+//     split because per-transaction work does not depend on who counts it.
+func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter func(p int) rangeCounter) (countResult, error) {
+	procs, cs := m.opts.Procs, m.opts.ChunkSize
+	rec, fi := m.rec, m.fi
 	// Workers accumulate into cache-line padded sched.PerWorker records, so
 	// live increments never invalidate a neighbour's line; the bare int64
 	// timing slices (eight counters per line) are filled in only after the
 	// pool barrier.
 	acc := make([]sched.PerWorker, procs)
-
-	if opts.DBPart != PartitionStealing {
-		var slices []db.Slice
-		if opts.DBPart == PartitionWorkload {
-			slices = d.WorkloadPartition(procs, k)
-		} else {
-			slices = d.BlockPartition(procs)
+	kernels := make([]rangeCounter, procs)
+	kernel := func(p int) rangeCounter {
+		if kernels[p] == nil {
+			kernels[p] = newCounter(p)
 		}
-		err := pool.Run(func(p int) {
-			t0 := time.Now()
-			fi.Fire(phase, k, p, -1)
-			countRange := newCounter(p)
-			acc[p].Work = countRange(ctx, slices[p].Lo, slices[p].Hi)
-			rec.Worker(p).AddWork(acc[p].Work)
-			acc[p].ElapsedNS = time.Since(t0).Nanoseconds()
-		})
-		if err != nil {
-			return countResult{}, err
-		}
-		cr := countResult{Work: make([]int64, procs), Idle: idleOf(acc)}
-		for p := range acc {
-			cr.Work[p] = acc[p].Work
-		}
-		return cr, nil
+		return kernels[p]
+	}
+	var ranges []db.Slice
+	var chunkWork []int64
+	if m.opts.DBPart == PartitionStealing {
+		chunkWork = make([]int64, sched.NumChunks(m.numTx, cs))
+	} else {
+		ranges = m.staticRanges(k)
 	}
 
-	n := d.Len()
-	numChunks := sched.NumChunks(n, opts.ChunkSize)
-	chunkWork := make([]int64, numChunks)
-	st := sched.NewStealing(procs)
-	st.SeedBlocks(numChunks)
-	err := pool.Run(func(p int) {
-		t0 := time.Now()
-		countRange := newCounter(p)
-		w := &acc[p]
-		ow := rec.Worker(p)
-		for ctx.Err() == nil {
-			lc, victim, ok := st.Next(p)
-			if !ok {
-				break
-			}
-			c := int(lc)
-			if victim != p {
-				w.Stolen++
-				ow.Steal(k, c, victim)
-			}
-			pool.NoteChunk(p, c)
-			fi.Fire(phase, k, p, c)
-			ow.BeginChunk(k, c)
-			lo, hi := sched.ChunkRange(n, opts.ChunkSize, c)
-			// Each chunk is claimed exactly once, so this write is private.
-			chunkWork[c] = countRange(ctx, lo, hi)
-			w.Work += chunkWork[c]
-			ow.EndChunk(k, c)
-			w.Claimed++
+	err := m.forEachSegment(ctx, func(si, base int, sd *db.Database) error {
+		end := base + sd.Len()
+		if chunkWork == nil {
+			return m.pool.Run(func(p int) {
+				t0 := time.Now()
+				fi.Fire(phase, k, p, si)
+				count := kernel(p)
+				lo, hi := max(ranges[p].Lo, base)-base, min(ranges[p].Hi, end)-base
+				acc[p].Work += count(ctx, sd, lo, hi)
+				acc[p].ElapsedNS += time.Since(t0).Nanoseconds()
+			})
 		}
-		pool.NoteChunk(p, -1)
-		ow.AddWork(w.Work)
-		w.ElapsedNS = time.Since(t0).Nanoseconds()
+		cLo, cHi := chunkSpan(base, end, cs)
+		st := sched.NewStealing(procs)
+		st.SeedBlocks(cHi - cLo)
+		return m.pool.Run(func(p int) {
+			t0 := time.Now()
+			count := kernel(p)
+			w := &acc[p]
+			ow := rec.Worker(p)
+			for ctx.Err() == nil {
+				lc, victim, ok := st.Next(p)
+				if !ok {
+					break
+				}
+				c := cLo + int(lc)
+				if victim != p {
+					w.Stolen++
+					ow.Steal(k, c, victim)
+				}
+				m.pool.NoteChunk(p, c)
+				fi.Fire(phase, k, p, c)
+				ow.BeginChunk(k, c)
+				lo, hi := max(c*cs, base)-base, min((c+1)*cs, end)-base
+				// Each chunk is claimed once per segment, and segments are
+				// separated by the pool barrier, so this write is private.
+				cw := count(ctx, sd, lo, hi)
+				chunkWork[c] += cw
+				w.Work += cw
+				ow.EndChunk(k, c)
+				w.Claimed++
+			}
+			m.pool.NoteChunk(p, -1)
+			w.ElapsedNS += time.Since(t0).Nanoseconds()
+		})
 	})
 	if err != nil {
 		return countResult{}, err
 	}
-	cr := countResult{
-		Claimed: make([]int64, procs),
-		Steals:  make([]int64, procs),
-		Work:    sched.GreedySchedule(chunkWork, procs),
-		Idle:    idleOf(acc),
-	}
+
+	cr := countResult{Work: make([]int64, procs), Idle: idleOf(acc)}
 	for p := range acc {
-		cr.Claimed[p] = acc[p].Claimed
-		cr.Steals[p] = acc[p].Stolen
+		rec.Worker(p).AddWork(acc[p].Work)
+		cr.Work[p] = acc[p].Work
+	}
+	if chunkWork != nil {
+		cr.Work = sched.GreedySchedule(chunkWork, procs)
+		cr.Claimed = make([]int64, procs)
+		cr.Steals = make([]int64, procs)
+		for p := range acc {
+			cr.Claimed[p] = acc[p].Claimed
+			cr.Steals[p] = acc[p].Stolen
+		}
 	}
 	return cr, nil
 }
@@ -977,44 +1037,6 @@ func idleOf(acc []sched.PerWorker) time.Duration {
 		idle += m - acc[i].ElapsedNS
 	}
 	return time.Duration(idle)
-}
-
-// parallelFrequentOne counts 1-itemsets with per-processor count arrays,
-// polling for cancellation every stride transactions. On cancellation the
-// caller must discard the (partial) counts — it checks the context before
-// using the result.
-func parallelFrequentOne(ctx context.Context, d *db.Database, minCount int64, pool *sched.Pool, fi *faultinj.Injector, stride int) ([]apriori.FrequentItemset, error) {
-	procs := pool.Procs()
-	local := make([][]int64, procs)
-	slices := d.BlockPartition(procs)
-	err := pool.Run(func(p int) {
-		fi.Fire("f1", 1, p, -1)
-		counts := make([]int64, d.NumItems())
-		s := slices[p]
-		for i := s.Lo; i < s.Hi; i++ {
-			if (i-s.Lo)%stride == 0 && ctx.Err() != nil {
-				break
-			}
-			for _, it := range d.Items(i) {
-				counts[it]++
-			}
-		}
-		local[p] = counts
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []apriori.FrequentItemset
-	for it := 0; it < d.NumItems(); it++ {
-		var c int64
-		for p := 0; p < procs; p++ {
-			c += local[p][it]
-		}
-		if c >= minCount {
-			out = append(out, apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
-		}
-	}
-	return out, nil
 }
 
 // generateParallel partitions the join units of F_{k-1}'s equivalence

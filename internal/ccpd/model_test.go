@@ -115,10 +115,13 @@ func TestIterOneCountWorkConserved(t *testing.T) {
 	d := testDB(t)
 	var blockTotal int64
 	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
-		opts := Options{
-			Options: optsFor(0.01), Procs: 4, DBPart: part,
-		}.withDefaults()
-		work := iterOneCountWork(d, opts)
+		o := optsFor(0.01)
+		o.MaxK = 1
+		_, st, err := Mine(d, Options{Options: o, Procs: 4, DBPart: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := st.PerIter[0].CountWork
 		if len(work) != 4 {
 			t.Fatalf("%s: %d entries, want 4", part, len(work))
 		}

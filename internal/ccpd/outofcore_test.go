@@ -31,11 +31,13 @@ func segStore(t *testing.T, d *db.Database, wopts seg.WriterOptions) *seg.Reader
 }
 
 // TestSegmentedMatchesInRAM is the core equivalence gate: for every supported
-// partition mode, mining the segmented store — with segment boundaries that
-// do NOT align with the chunk grid, so chunks straddle segment edges — must
-// reproduce the in-RAM run's frequent sets AND its deterministic work model
-// (per-iteration CountWork, ModelTime, IdleWork) bit-for-bit. Claims/steals
-// are runtime figures and are only checked for consistency, not equality.
+// partition mode, with the paper's counting and with Options.Project (the
+// pair pass and projected walks), mining the segmented store — with segment
+// boundaries that do NOT align with the chunk grid, so chunks straddle
+// segment edges — must reproduce the in-RAM run's frequent sets AND its
+// deterministic work model (per-iteration CountWork and ModelTime, IdleWork)
+// bit-for-bit. Claims/steals are runtime figures and are only checked for
+// consistency, not equality.
 func TestSegmentedMatchesInRAM(t *testing.T) {
 	d, err := gen.Generate(gen.Params{N: 60, L: 15, I: 3, T: 6, D: 700, Seed: 17})
 	if err != nil {
@@ -47,14 +49,25 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 	if r.NumSegments() < 2 {
 		t.Fatalf("want multiple segments, got %d", r.NumSegments())
 	}
-	for _, mode := range []DBPartition{PartitionBlock, PartitionStealing} {
+	for _, c := range []struct {
+		mode    DBPartition
+		project bool
+	}{
+		{PartitionBlock, false}, {PartitionStealing, false},
+		{PartitionBlock, true}, {PartitionStealing, true},
+	} {
+		mode := c.mode
 		opts := Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 64,
+			Project: c.project,
 		}
 		want, wantStats, err := Mine(d, opts)
 		if err != nil {
 			t.Fatalf("%s in-RAM: %v", mode, err)
+		}
+		if c.project && !wantStats.PerIter[1].Paired() {
+			t.Fatalf("%s: in-RAM k=2 did not run the pair pass", mode)
 		}
 		for _, budget := range []int64{1, 0} { // sync and double-buffered
 			res, stats, err := MineSegmented(r, SegmentedOptions{Options: opts, MemBudget: budget})
@@ -62,7 +75,13 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 				t.Fatalf("%s budget %d: %v", mode, budget, err)
 			}
 			label := mode.String()
+			if c.project {
+				label += "/project"
+			}
 			assertSameResult(t, label, res, want)
+			if c.project && !stats.PerIter[1].Paired() {
+				t.Errorf("%s budget %d: k=2 did not run the pair pass", label, budget)
+			}
 			if res.MinCount != want.MinCount {
 				t.Errorf("%s: MinCount %d != %d", label, res.MinCount, want.MinCount)
 			}
@@ -77,6 +96,13 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 			}
 			for i := range stats.PerIter {
 				g, w := stats.PerIter[i], wantStats.PerIter[i]
+				if gm, wm := g.ModelTime(opts.Procs), w.ModelTime(opts.Procs); gm != wm {
+					t.Errorf("%s budget %d: iter k=%d ModelTime %d != in-RAM %d", label, budget, w.K, gm, wm)
+				}
+				if len(g.CountWork) != len(w.CountWork) {
+					t.Fatalf("%s budget %d: iter k=%d has %d CountWork entries, want %d",
+						label, budget, w.K, len(g.CountWork), len(w.CountWork))
+				}
 				for p := range w.CountWork {
 					if g.CountWork[p] != w.CountWork[p] {
 						t.Errorf("%s budget %d: iter k=%d CountWork[%d] = %d, want %d",
@@ -110,7 +136,8 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 // TestSegmentedBeyondArenaLimit is the headline acceptance test: a database
 // whose total item arena exceeds the (test-lowered) in-RAM ceiling mines via
 // the segmented path with zero ErrArenaFull, producing the same frequent
-// sets and pinned work-model totals as an unconstrained in-RAM run.
+// sets and pinned work-model totals as an unconstrained in-RAM run, with the
+// paper's counting and with Options.Project.
 func TestSegmentedBeyondArenaLimit(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
@@ -122,6 +149,12 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 		DBPart: PartitionBlock,
 	}
 	want, wantStats, err := Mine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	projOpts := opts
+	projOpts.Project = true
+	wantProj, wantProjStats, err := Mine(d, projOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +181,17 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 	const pinned = 3719619
 	if got := stats.ModelTime(); got != pinned || got != wantStats.ModelTime() {
 		t.Errorf("ModelTime = %d, want pinned %d (in-RAM %d)", got, pinned, wantStats.ModelTime())
+	}
+
+	res, stats, err = MineSegmented(r, SegmentedOptions{Options: projOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "beyond-arena/project", res, wantProj)
+	// The projected pin from TestModelTimePinnedProject (block, procs=4).
+	const pinnedProj = 519337
+	if got := stats.ModelTime(); got != pinnedProj || got != wantProjStats.ModelTime() {
+		t.Errorf("projected ModelTime = %d, want pinned %d (in-RAM %d)", got, pinnedProj, wantProjStats.ModelTime())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -15,6 +16,20 @@ import (
 	"repro/internal/robust/ckpt"
 	"repro/internal/robust/faultinj"
 )
+
+// TestPairPassFitsTransactionBound: a triangle cell counts each transaction
+// at most once in an int32, so a source past 2³¹−1 transactions (only a
+// segmented store can be one) keeps the hash tree at k=2.
+func TestPairPassFitsTransactionBound(t *testing.T) {
+	m := &miner{opts: Options{Procs: 2, Project: true}.withDefaults(), numTx: math.MaxInt32}
+	if !m.pairPassFits(100) {
+		t.Fatal("2³¹−1 transactions: pair pass refused")
+	}
+	m.numTx++
+	if m.pairPassFits(100) {
+		t.Error("2³¹ transactions: pair pass chosen, its int32 cells could overflow")
+	}
+}
 
 // TestPairPassMatchesHashTree: under Options.Project, iteration 2 through
 // the pair pass and every projected hash-tree iteration give results deeply

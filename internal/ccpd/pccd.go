@@ -11,7 +11,6 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/obs"
 	"repro/internal/robust"
-	"repro/internal/sched"
 )
 
 // MinePCCD runs the Partitioned Candidate Common Database algorithm. It is
@@ -40,23 +39,17 @@ func MinePCCD(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 func MinePCCDCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	minCount := opts.MinCount(d.Len())
-	fi := opts.FaultInj
+	// The miner's persistent pool serves iteration 1 (CCPD's own pass, whose
+	// work model PCCD leaves out) and the per-iteration build, count and
+	// extract phases.
+	m, cleanup := newMiner(d, opts)
+	defer cleanup()
+	pool, rec, fi, minCount := m.pool, m.rec, m.fi, m.minCount
 	res := &apriori.Result{MinCount: minCount, ByK: make([][]apriori.FrequentItemset, 2)}
 	stats := &Stats{Procs: opts.Procs}
 	partial := func(err error) (*apriori.Result, *Stats, error) {
 		stats.Total = time.Since(start)
 		return res, stats, err
-	}
-
-	// The same persistent pool serves the per-iteration build, count and
-	// extract phases.
-	pool := sched.NewPool(opts.Procs)
-	defer pool.Close()
-	rec := opts.Obs
-	if rec.Enabled() {
-		pool.SetWrap(rec.PoolWrap)
-		defer pool.SetWrap(nil)
 	}
 
 	if err := robust.Canceled(ctx, "f1", 1); err != nil {
@@ -65,7 +58,7 @@ func MinePCCDCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Re
 	t0 := time.Now()
 	rec.SetPhase(obs.PhaseF1, 1)
 	rec.BeginPhase(obs.PhaseF1, 1)
-	f1, err := parallelFrequentOne(ctx, d, minCount, pool, fi, opts.ChunkSize)
+	f1, _, err := m.frequentOne(ctx)
 	rec.EndPhase(obs.PhaseF1, 1)
 	if err != nil {
 		return nil, nil, annotate(err, "f1", 1)

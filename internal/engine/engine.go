@@ -74,10 +74,10 @@ type Spec struct {
 }
 
 // ccpdOptions lowers a Spec onto the CCPD option struct. The production
-// path counts k=2 with the pair pass and walks every hash tree over each
-// transaction's candidate items (ccpd.Options.Project); PCCD and the
-// segmented path ignore it and keep the paper's counting, so the
-// equivalence suite still checks both against independent code.
+// path, in RAM and on segmented stores alike, counts k=2 with the pair pass
+// and walks every hash tree over each transaction's candidate items
+// (ccpd.Options.Project); PCCD ignores it and keeps the paper's counting,
+// so the equivalence suite still checks it against independent code.
 func (s Spec) ccpdOptions() ccpd.Options {
 	return ccpd.Options{
 		Options: s.Mining,

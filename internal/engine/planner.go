@@ -167,7 +167,9 @@ func (p Plan) String() string {
 }
 
 // Planner holds the selection policy knobs. The zero value uses the
-// calibrated defaults; construct with struct literals.
+// calibrated defaults; construct with struct literals. The vertical engine
+// is chosen at and above vbit.DefaultCrossoverDensity, calibrated by the
+// density-sweep experiment.
 type Planner struct {
 	// Procs is the worker count the partition model schedules for (default 4).
 	Procs int
@@ -175,25 +177,15 @@ type Planner struct {
 	// double-buffered (segmented runs), and disables the feasibility check
 	// for in-RAM databases.
 	MemBudget int64
-	// CrossoverDensity is the density at and above which the vertical
-	// engine is chosen (default vbit.DefaultCrossoverDensity, calibrated by
-	// the density-sweep experiment).
-	CrossoverDensity float64
-	// TailMassThreshold is the TailMass above which the static block
-	// partition is considered imbalanced and stealing competes
-	// (default 0.08).
-	TailMassThreshold float64
 }
+
+// tailMassThreshold is the TailMass above which the static block partition
+// is considered imbalanced and stealing competes.
+const tailMassThreshold = 0.08
 
 func (pl Planner) withDefaults() Planner {
 	if pl.Procs <= 0 {
 		pl.Procs = 4
-	}
-	if pl.CrossoverDensity <= 0 {
-		pl.CrossoverDensity = vbit.DefaultCrossoverDensity
-	}
-	if pl.TailMassThreshold <= 0 {
-		pl.TailMassThreshold = 0.08
 	}
 	return pl
 }
@@ -260,7 +252,7 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	vcost := int64(0)
 	feasibleV := info.Transactions > 0 && info.NumItems > 0 && info.Density > 0
 	if feasibleV {
-		vcost = int64(float64(hcost) * (pl.CrossoverDensity / info.Density))
+		vcost = int64(float64(hcost) * (vbit.DefaultCrossoverDensity / info.Density))
 	}
 	vtx := info.Transactions
 	vnote := "materializes every column in RAM"
@@ -285,12 +277,12 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	case !vbitEst.Feasible:
 		p.Engine = "ccpd"
 		p.Reason = "vbit infeasible: " + vbitEst.Note
-	case info.Density >= pl.CrossoverDensity:
+	case info.Density >= vbit.DefaultCrossoverDensity:
 		p.Engine = "vbit"
-		p.Reason = fmt.Sprintf("density %.4f at or above crossover %.4f", info.Density, pl.CrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f at or above crossover %.4f", info.Density, vbit.DefaultCrossoverDensity)
 	default:
 		p.Engine = "ccpd"
-		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, pl.CrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, vbit.DefaultCrossoverDensity)
 	}
 	p.MemBudget = pl.MemBudget
 
@@ -300,7 +292,7 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	work := syntheticChunkWork(info)
 	p.BlockModel = blockModel(work, pl.Procs)
 	p.DynamicModel = maxLoad(sched.GreedySchedule(work, pl.Procs))
-	if info.TailMass >= pl.TailMassThreshold &&
+	if info.TailMass >= tailMassThreshold &&
 		float64(p.DynamicModel) < 0.95*float64(p.BlockModel) {
 		p.DBPart = ccpd.PartitionStealing
 		p.ChunkSize = clampInt(info.Transactions/(pl.Procs*16), 16, 256)
