@@ -341,6 +341,11 @@ func run(o cliOptions) error {
 	default:
 		res, stats, err = engine.Dispatch(context.Background(), algo, d, r, spec)
 	}
+	if errors.Is(err, engine.ErrNoOutOfCore) || errors.Is(err, ccpd.ErrSegmentedWorkload) {
+		// A segmented store the engine or partition cannot mine: the
+		// rejection comes before any work, and -algo auto never plans one.
+		return &usageError{msg: err.Error()}
+	}
 	if err != nil {
 		return err
 	}

@@ -183,6 +183,33 @@ func TestRunSegmentedStore(t *testing.T) {
 			t.Errorf("segmented seq: err = %v, want engine rejection", err)
 		}
 	}
+	// An engine without an out-of-core path, and ccpd's workload
+	// partition, are usage errors on a segmented store (exit 2), not mining
+	// failures.
+	for _, c := range []struct{ algo, dbpart, want string }{
+		{"pccd", "block", "no out-of-core path"},
+		{"ccpd", "workload", "workload needs"},
+	} {
+		o := base()
+		o.GenSpec = ""
+		o.DBPath = path
+		o.Algo = c.algo
+		o.DBPart = c.dbpart
+		var ue *usageError
+		if err := run(o); !errors.As(err, &ue) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("segmented -algo %s -dbpart %s: err = %v, want usage error", c.algo, c.dbpart, err)
+		}
+	}
+	{
+		o := base() // vbit ignores -dbpart
+		o.GenSpec = ""
+		o.DBPath = path
+		o.Algo = "vbit"
+		o.DBPart = "workload"
+		if err := run(o); err != nil {
+			t.Errorf("segmented vbit -dbpart workload: %v", err)
+		}
+	}
 	{
 		o := base()
 		o.GenSpec = ""

@@ -2,12 +2,18 @@ package ccpd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/apriori"
 	"repro/internal/db/seg"
 )
+
+// ErrSegmentedWorkload is MineSegmentedCtx's rejection of PartitionWorkload,
+// whose boundary computation needs a full extra database pass before any
+// counting.
+var ErrSegmentedWorkload = errors.New("ccpd: out-of-core mining supports block and stealing partitions; workload needs a full up-front pass")
 
 // SegmentedOptions configures an out-of-core CCPD run over a segmented store.
 type SegmentedOptions struct {
@@ -36,14 +42,14 @@ func MineSegmented(r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stat
 // MineSegmentedCtx is MineSegmented under a context; cancellation behaves
 // exactly like MineCtx. Stats.OutOfCore carries the pipeline accounting.
 //
-// PartitionWorkload is not supported (its boundary computation needs a full
-// extra database pass before any counting), and neither is checkpointing.
+// PartitionWorkload is not supported (ErrSegmentedWorkload), and neither is
+// checkpointing.
 //
 //armlint:cancellable
 func MineSegmentedCtx(ctx context.Context, r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stats, error) {
 	o := opts.Options.withDefaults()
 	if o.DBPart == PartitionWorkload {
-		return nil, nil, fmt.Errorf("ccpd: out-of-core mining supports block and stealing partitions; workload needs a full up-front pass")
+		return nil, nil, ErrSegmentedWorkload
 	}
 	if o.Checkpoint != "" {
 		return nil, nil, fmt.Errorf("ccpd: checkpointing is not supported for out-of-core runs")

@@ -286,7 +286,8 @@ func (s Slice) EstimatedWork(k int) int64 {
 }
 
 // Validate checks internal consistency (sorted transactions, offsets
-// monotone). Intended for tests and for readers of external files.
+// monotone and inside the arena). Intended for tests and for readers of
+// external files.
 func (d *Database) Validate() error {
 	if len(d.offsets) != len(d.tids)+1 {
 		return fmt.Errorf("db: offsets len %d != tids len %d + 1", len(d.offsets), len(d.tids))
@@ -295,6 +296,11 @@ func (d *Database) Validate() error {
 	for i := 0; i < d.Len(); i++ {
 		if d.offsets[i] > d.offsets[i+1] {
 			return fmt.Errorf("db: offsets not monotone at %d", i)
+		}
+		// An offset past the arena that a later one undercuts again is
+		// not caught by monotonicity before Items would slice with it.
+		if int(d.offsets[i+1]) > len(d.arena) {
+			return fmt.Errorf("db: offset %d at %d past the arena's %d items", d.offsets[i+1], i+1, len(d.arena))
 		}
 		items := d.Items(i)
 		if !items.IsSorted() {

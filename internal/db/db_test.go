@@ -45,6 +45,20 @@ func TestAppendAndAccess(t *testing.T) {
 	}
 }
 
+// TestValidateOffsetPastArena: columns whose end offsets agree but whose
+// middle offset points past the arena (a malformed store segment the
+// segmented-store fuzzer produced) fail validation instead of panicking in
+// Items.
+func TestValidateOffsetPastArena(t *testing.T) {
+	d, err := FromColumns([]int64{0, 1}, []int32{0, 5, 2}, []itemset.Item{1, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err == nil {
+		t.Error("offsets [0 5 2] over a 2-item arena validated")
+	}
+}
+
 func TestAppendGrowsUniverse(t *testing.T) {
 	d := New(2)
 	d.Append(1, itemset.New(10))

@@ -77,6 +77,11 @@ type Pipeline struct {
 	aborted bool
 
 	stats PipelineStats
+
+	// handedOff, when set, runs on the prefetcher goroutine once segment
+	// seg is in the consumer's channel: a test hook that lets a consumer
+	// wait for the next segment instead of guessing how long its load takes.
+	handedOff func(seg int)
 }
 
 // NewPipeline builds a pipeline over the reader.
@@ -193,6 +198,9 @@ func (p *Pipeline) runOverlapped(ctx context.Context, n int, fn func(int, *db.Da
 			d, loadNS, err := p.load(i, buf, io)
 			select {
 			case ch <- loaded{seg: i, d: d, buf: buf, loadNS: loadNS, err: err}:
+				if p.handedOff != nil {
+					p.handedOff(i)
+				}
 			case <-abortCh:
 				p.put(buf)
 				return

@@ -116,8 +116,18 @@ func TestPipelineStallAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	over := r.NewPipeline(PipelineOptions{LoadDelay: delay})
-	if err := over.ForEach(context.Background(), func(int, *db.Database) error {
-		time.Sleep(delay) // give the prefetcher time to hide the next load
+	handed := make([]chan struct{}, r.NumSegments())
+	for i := range handed {
+		handed[i] = make(chan struct{})
+	}
+	over.handedOff = func(seg int) { close(handed[seg]) }
+	if err := over.ForEach(context.Background(), func(seg int, _ *db.Database) error {
+		// Return only once the prefetcher has handed over the next segment,
+		// so however loaded the host, every later stall is a receive from a
+		// full channel.
+		if seg+1 < len(handed) {
+			<-handed[seg+1]
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -309,6 +310,10 @@ func (vbitMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apr
 	}, err
 }
 
+// ErrNoOutOfCore is returned by Dispatch, wrapped with the engine's name,
+// when a segmented reader meets an engine without an out-of-core path.
+var ErrNoOutOfCore = errors.New("no out-of-core path")
+
 // Dispatch looks up name and runs the spec against the given source: an
 // in-memory database, or a segmented reader for engines with an out-of-core
 // path. Exactly one of d and r must be non-nil. It is the single entry point
@@ -321,7 +326,7 @@ func Dispatch(ctx context.Context, name string, d *db.Database, r *seg.Reader, s
 	if r != nil {
 		sm, ok := AsSegmented(m)
 		if !ok {
-			return nil, nil, fmt.Errorf("engine: %s has no out-of-core path; segmented stores mine with %v", name, SegmentedNames())
+			return nil, nil, fmt.Errorf("engine: %s has %w; segmented stores mine with %v", name, ErrNoOutOfCore, SegmentedNames())
 		}
 		return sm.MineSegmented(ctx, r, s)
 	}

@@ -45,16 +45,6 @@ type Snapshot struct {
 
 // newSnapshot freezes a mining result into a publishable snapshot.
 func newSnapshot(gen int64, view *db.Database, engineName string, res *apriori.Result, rs []rules.Rule, wall time.Duration) *Snapshot {
-	byItem := make(map[itemset.Item][]int32)
-	for i, r := range rs {
-		// Antecedent and consequent are disjoint, so no dedup needed.
-		for _, it := range r.Antecedent {
-			byItem[it] = append(byItem[it], int32(i))
-		}
-		for _, it := range r.Consequent {
-			byItem[it] = append(byItem[it], int32(i))
-		}
-	}
 	return &Snapshot{
 		Generation: gen,
 		DBLen:      int64(view.Len()),
@@ -64,8 +54,43 @@ func newSnapshot(gen int64, view *db.Database, engineName string, res *apriori.R
 		Wall:       wall,
 		Result:     res,
 		Rules:      rs,
-		byItem:     byItem,
+		byItem:     ruleIndex(rs),
 	}
+}
+
+// ruleIndex maps each item to the ascending indices of the rules naming it.
+// It counts first and carves every item's list from one arena: lists grown
+// by append allocated about four times the index's final size per publish.
+func ruleIndex(rs []rules.Rule) map[itemset.Item][]int32 {
+	counts := make(map[itemset.Item]int)
+	var total int
+	for _, r := range rs {
+		for _, it := range r.Antecedent {
+			counts[it]++
+		}
+		for _, it := range r.Consequent {
+			counts[it]++
+		}
+		total += len(r.Antecedent) + len(r.Consequent)
+	}
+	arena := make([]int32, total)
+	byItem := make(map[itemset.Item][]int32, len(counts))
+	var off int
+	for it, n := range counts {
+		byItem[it] = arena[off : off : off+n]
+		off += n
+	}
+	for i, r := range rs {
+		// Antecedent and consequent are disjoint, so no dedup needed; the
+		// appends fill each list's carved capacity and never reallocate.
+		for _, it := range r.Antecedent {
+			byItem[it] = append(byItem[it], int32(i))
+		}
+		for _, it := range r.Consequent {
+			byItem[it] = append(byItem[it], int32(i))
+		}
+	}
+	return byItem
 }
 
 // QueryRules returns up to limit rules at or above minConf, optionally

@@ -15,9 +15,9 @@
 // instead of append. Every kernel's cost in deterministic work units is the
 // slice lengths it touches, which is what the work model in vbit.go counts.
 //
-// That work model is frozen by TestModelTimePinned, so the package is
-// pinned: no clocks, no randomness, no map-order leaks (wall-clock stats
-// sites carry explicit determinism allows — they feed observability only):
+// That work model is frozen by TestModelPinned, so the package is pinned:
+// no clocks, no randomness, no map-order leaks (wall-clock stats sites
+// carry explicit determinism allows — they feed observability only):
 //
 //armlint:pinned
 package vbit
@@ -29,7 +29,8 @@ import "math/bits"
 // one 64-bit AND+popcount over a word, or one tidlist element touch during
 // a merge. A bitmap pair-intersection over D transactions costs D/64
 // WorkWordOp against a tidlist merge's ~2·density·D WorkTidOp — the factor
-// the density-based engine selector (select.go) turns into a threshold.
+// behind DefaultCrossoverDensity (select.go), the density at which
+// engine.Planner starts choosing this engine.
 const (
 	WorkWordOp   = 1 // one 64-bit word AND/ANDNOT + popcount
 	WorkTidOp    = 1 // one tidlist element compared or copied
@@ -146,6 +147,99 @@ func ExtractInto(dst []int32, words []uint64) int {
 			dst[n] = base + int32(bits.TrailingZeros64(w))
 			n++
 			w &= w - 1
+		}
+	}
+	return n
+}
+
+// ProjectTable prepares the projection onto mask. cum gets mask's prefix
+// popcounts (len(cum) > len(mask)): cum[w] is the number of set bits in
+// mask[:w], so the rank of a set bit g among mask's set bits is
+// cum[g>>6] + |mask[g>>6] & (1<<(g&63) − 1)|. moves[w] gets the six masks
+// with which the compress of Hacker's Delight §7-4 gathers the bits of a
+// word that mask[w] selects into its low end, one shift distance (1, 2, 4,
+// …, 32) per step.
+//
+//armlint:noalloc
+func ProjectTable(cum []int32, moves [][6]uint64, mask []uint64) {
+	var n int32
+	for w, m := range mask {
+		cum[w] = n
+		n += int32(bits.OnesCount64(m))
+		// Step i moves right by 2^i every bit whose count of zeros of mask
+		// below it has bit i set: mk marks those zeros still to count, mp
+		// (their prefix parity) the positions that move.
+		mk := ^m << 1
+		for i := range moves[w] {
+			mp := mk ^ mk<<1
+			mp ^= mp << 2
+			mp ^= mp << 4
+			mp ^= mp << 8
+			mp ^= mp << 16
+			mp ^= mp << 32
+			mv := mp & m
+			moves[w][i] = mv
+			m = m ^ mv | mv>>(1<<i)
+			mk &^= mp
+		}
+	}
+	cum[len(mask)] = n
+}
+
+// ProjectInto writes src ⊆ mask re-indexed by rank within mask into dst:
+// bit r of dst is set when mask's r-th set bit is set in src. cum and moves
+// are mask's ProjectTable; dst must hold ⌈|mask|/64⌉ words, and every word
+// is written. Each source word is compressed in six branch-free steps and
+// its |mask[w]| bits appended to the output bit stream — the projection
+// that lets a class's DFS run on bitmaps as wide as its anchor's tidset
+// instead of the whole database.
+//
+//armlint:noalloc
+func ProjectInto(dst, src []uint64, moves [][6]uint64, cum []int32) {
+	var acc uint64 // output bits not yet stored, from bit 0
+	var nb uint    // how many
+	out := 0
+	for w, x := range src {
+		mv := &moves[w]
+		t := x & mv[0]
+		x = x ^ t | t>>1
+		t = x & mv[1]
+		x = x ^ t | t>>2
+		t = x & mv[2]
+		x = x ^ t | t>>4
+		t = x & mv[3]
+		x = x ^ t | t>>8
+		t = x & mv[4]
+		x = x ^ t | t>>16
+		t = x & mv[5]
+		x = x ^ t | t>>32
+		k := uint(cum[w+1] - cum[w])
+		acc |= x << nb
+		nb += k
+		if nb >= 64 {
+			dst[out] = acc
+			out++
+			nb -= 64
+			acc = x >> (k - nb) // the bits that did not fit; 0 when none
+		}
+	}
+	if out < len(dst) {
+		dst[out] = acc
+	}
+}
+
+// ProjectListInto writes the ranks within mask of src ⊆ mask into dst as an
+// ascending tidlist and returns the count — ProjectInto for a set too small
+// to keep as a bitmap. dst must have room for every set bit of src.
+//
+//armlint:noalloc
+func ProjectListInto(dst []int32, src, mask []uint64, cum []int32) int {
+	n := 0
+	for i, x := range src {
+		for x != 0 {
+			dst[n] = cum[i] + int32(bits.OnesCount64(mask[i]&(x&-x-1)))
+			n++
+			x &= x - 1
 		}
 	}
 	return n

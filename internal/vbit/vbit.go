@@ -58,7 +58,7 @@ func (o Options) withDefaults() Options {
 // ccpd.Stats: per-processor totals are modelled (GreedySchedule over the
 // per-class work) because runtime class assignment is racy, while the work
 // units themselves are exact deterministic functions of the database and
-// options — pinned by TestVBitModelPinned.
+// options — pinned by TestModelPinned.
 type Stats struct {
 	Procs       int
 	Classes     int // first-level equivalence classes (frequent items)
@@ -451,6 +451,16 @@ type task struct {
 	pc  *apriori.PairCount
 	tri []int32
 
+	// width is the bitmap width of the current frame: Layout.Words, or
+	// ⌈sup(a)/64⌉ while the subtree of a projected class a runs over tids
+	// re-numbered by rank within t(a). The representation rule, bitmap iff
+	// card ≥ width, applies inside the frame.
+	width int
+	// cum and moves are the projected anchor's ProjectTable (Words+1 and
+	// Words entries), allocated at the task's first projected class.
+	cum   []int32
+	moves [][6]uint64
+
 	pfx   []itemset.Item // prefix stack, pfx[:depth] is the current prefix
 	kids  [][]node       // kids[d]: the reused node list grow(d) walks
 	words stack[uint64]  // bitmap diffsets of the live DFS path
@@ -471,6 +481,7 @@ func newTask(lay *Layout, minCount int64, maxK, maxDepth int) *task {
 		scr:      lay.NewScratch(),
 		minCount: minCount,
 		maxK:     maxK,
+		width:    lay.Words,
 		pfx:      make([]itemset.Item, maxDepth+1),
 		kids:     make([][]node, maxDepth+1),
 		words:    newStack[uint64](blockLen),
@@ -482,6 +493,12 @@ func newTask(lay *Layout, minCount int64, maxK, maxDepth int) *task {
 // heads[c+1:], returning per-k result lists (index k, entries 0 and 1 nil).
 // Every diffset of the class lives on the task's stacks and is released
 // when the class returns.
+//
+// Every set in the class's subtree is a subset of t(a), the anchor's
+// tidset. When the projection rule (frame) takes the class, each level-2
+// diffset is re-indexed by the ranks of its tids within t(a), and the
+// whole DFS runs on bitmaps ⌈sup(a)/64⌉ words wide instead of
+// Layout.Words — MAFIA's projected bitmaps applied to diffsets.
 func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	t.out = make([][]apriori.FrequentItemset, 2)
 	t.arena = nil
@@ -498,6 +515,7 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	if t.tri != nil {
 		row = t.pc.RowBase(c)
 	}
+	width, project := t.frame(anchor)
 	children := t.kids[1][:0]
 	for j := c + 1; j < len(heads); j++ {
 		if t.tri != nil && int64(t.tri[row+j]) < t.minCount {
@@ -505,17 +523,68 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 		}
 		card, words, n := t.diffInto(anchor.s, heads[j].s)
 		sup := anchor.sup - card
-		if sup >= t.minCount {
-			children = append(children, node{item: heads[j].item, sup: sup, s: t.persist(card, words, n)})
+		if sup < t.minCount {
+			continue
 		}
+		var s set
+		if project {
+			s = t.project(card, anchor.s.words, width, len(children) == 0)
+		} else {
+			s = t.persist(card, words, n)
+		}
+		children = append(children, node{item: heads[j].item, sup: sup, s: s})
 	}
 	t.kids[1] = children
+	if project {
+		t.width = width
+	}
 	if len(children) > 0 {
 		t.grow(1, children)
 	}
+	t.width = t.lay.Words
 	t.words.reset(wm)
 	t.tids.reset(tm)
 	return t.out
+}
+
+// frame returns the projected width ⌈sup(a)/64⌉ of anchor a's class and
+// whether the projection rule projects it: a's column is a bitmap, the
+// frame is narrower than the layout (one as wide saves no word and costs a
+// table), the DFS diffs past level 2 (at MaxK 2 a table would be pure
+// cost), and the pair pass did not run. The pass runs on sparse inputs,
+// whose classes are small; projecting them there measured slower
+// (DESIGN.md "Projected classes").
+func (t *task) frame(anchor head) (int, bool) {
+	width := int((anchor.sup + 63) / 64)
+	deep := t.maxK == 0 || t.maxK > 2
+	return width, anchor.s.dense() && width < t.lay.Words && deep && t.tri == nil
+}
+
+// project carves the full-width diffset in scr.Words, a subset of the
+// anchor's tidset mask, onto the stacks re-indexed by rank within mask: as
+// a bitmap of width words when card ≥ width, as a rank list otherwise. The
+// class's first member builds mask's ProjectTable, so a class without one
+// pays nothing for it; the task's first builds its buffers, so a mine
+// without a projected class pays nothing either. The work is the table's
+// words, the words scanned, and the tids mapped one by one into a list.
+func (t *task) project(card int64, mask []uint64, width int, first bool) set {
+	if first {
+		if t.moves == nil {
+			t.cum, t.moves = make([]int32, t.lay.Words+1), make([][6]uint64, t.lay.Words)
+		}
+		ProjectTable(t.cum, t.moves, mask)
+		t.work += int64(t.lay.Words) * WorkWordOp
+	}
+	t.work += int64(t.lay.Words) * WorkWordOp
+	if card >= int64(width) {
+		out := t.words.alloc(width)
+		ProjectInto(out, t.scr.Words, t.moves, t.cum)
+		return set{words: out, card: card}
+	}
+	t.work += card * WorkTidOp
+	out := t.tids.alloc(int(card))
+	ProjectListInto(out, t.scr.Words, mask, t.cum)
+	return set{list: out, card: card}
 }
 
 // grow emits every member of the class prefix pfx[:depth] × nodes and
@@ -570,17 +639,17 @@ func (t *task) emit(depth int, item itemset.Item, sup int64) {
 
 // diffInto computes x \ y into the scratch buffers, dispatching on the four
 // representation pairs, and returns the cardinality plus where the result
-// lives (words: scr.Words; otherwise scr.A[:n]). Work units are the slice
-// lengths each kernel touches.
+// lives (words: scr.Words[:width]; otherwise scr.A[:n]). Work units are the
+// slice lengths each kernel touches.
 func (t *task) diffInto(x, y set) (card int64, words bool, n int) {
 	switch {
 	case x.dense() && y.dense():
-		t.work += int64(t.lay.Words) * WorkWordOp
+		t.work += int64(t.width) * WorkWordOp
 		return AndNotInto(t.scr.Words, x.words, y.words), true, 0
 	case x.dense():
 		copy(t.scr.Words, x.words)
 		cleared := ClearList(t.scr.Words, y.list)
-		t.work += int64(t.lay.Words)*WorkWordOp + int64(len(y.list))*WorkTidOp
+		t.work += int64(t.width)*WorkWordOp + int64(len(y.list))*WorkTidOp
 		return x.card - cleared, true, 0
 	case y.dense():
 		n = FilterInto(t.scr.A, x.list, y.words, false)
@@ -594,19 +663,20 @@ func (t *task) diffInto(x, y set) (card int64, words bool, n int) {
 }
 
 // persist copies a scratch-resident diffset onto the task's stacks. A
-// word-form result whose cardinality has dropped below one tid per word is
-// demoted to a sorted tidlist (the diffset switch-over rule): from there
-// on this subtree's kernels run in tidlist mode, matching the memory the
-// set actually occupies rather than the full bitmap width.
+// word-form result whose cardinality has dropped below one tid per word of
+// the frame is demoted to a sorted tidlist (the diffset switch-over rule):
+// from there on this subtree's kernels run in tidlist mode, matching the
+// memory the set actually occupies rather than the frame's bitmap width.
 func (t *task) persist(card int64, words bool, n int) set {
 	if words {
-		if card >= int64(t.lay.Words) {
-			out := t.words.alloc(t.lay.Words)
+		if card >= int64(t.width) {
+			out := t.words.alloc(t.width)
 			copy(out, t.scr.Words)
 			return set{words: out, card: card}
 		}
-		n = ExtractInto(t.scr.A, t.scr.Words)
-		t.work += int64(t.lay.Words)*WorkWordOp + int64(n)*WorkTidOp
+		// Past the frame, scr.Words holds a stale wider result.
+		n = ExtractInto(t.scr.A, t.scr.Words[:t.width])
+		t.work += int64(t.width)*WorkWordOp + int64(n)*WorkTidOp
 	}
 	out := t.tids.alloc(n)
 	copy(out, t.scr.A[:n])

@@ -205,8 +205,8 @@ func TestModelPinned(t *testing.T) {
 	}
 	// Frozen values for N=60 L=15 I=3 T=6 D=400 seed=5 at support 0.01 with
 	// the default layout cutoff: 28 bitmap columns, 9 tidlist columns, 37
-	// first-level classes.
-	const pinnedTotalWork = 99455
+	// first-level classes, the classes of narrow bitmap anchors projected.
+	const pinnedTotalWork = 52635
 	if ref.TotalWork() != pinnedTotalWork {
 		t.Errorf("TotalWork = %d, want pinned %d", ref.TotalWork(), pinnedTotalWork)
 	}
@@ -214,8 +214,8 @@ func TestModelPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats4.ModelTime() != 38668 {
-		t.Errorf("ModelTime(procs=4) = %d, want pinned 38668", stats4.ModelTime())
+	if stats4.ModelTime() != 24175 {
+		t.Errorf("ModelTime(procs=4) = %d, want pinned 24175", stats4.ModelTime())
 	}
 	if stats4.Classes != 37 || stats4.DenseItems != 28 || stats4.SparseItems != 9 {
 		t.Errorf("classes/dense/sparse = %d/%d/%d, want 37/28/9",
@@ -230,6 +230,23 @@ func TestModelPinned(t *testing.T) {
 	}
 	if schedSum != classSum {
 		t.Errorf("GreedySchedule lost work: %d != %d", schedSum, classSum)
+	}
+}
+
+// TestModelPinnedMaxK2 pins a frequent-pair mine of TestModelPinned's data
+// to the full-width work it had before classes were projected: at MaxK 2
+// no diff runs past level 2, so no class pays for a projection table.
+func TestModelPinnedMaxK2(t *testing.T) {
+	d, err := gen.Generate(gen.Params{N: 60, L: 15, I: 3, T: 6, D: 400, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := Mine(d, Options{MinSupport: 0.01, Procs: 4, MaxK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TotalWork() != 10100 || stats.ModelTime() != 4506 {
+		t.Errorf("TotalWork, ModelTime(procs=4) = %d, %d, want pinned 10100, 4506", stats.TotalWork(), stats.ModelTime())
 	}
 }
 
