@@ -502,11 +502,11 @@ func printStats(st *engine.Stats, verbose bool) {
 		if verbose {
 			for _, it := range st.CCPD.PerIter {
 				if it.Paired() {
-					fmt.Printf("  k=%-2d cands=%-7d freq=%-7d pair pass: pairs=%v reduce=%v\n",
-						it.K, it.Candidates, it.Frequent, it.Count, it.Reduce)
+					fmt.Printf("  k=%-2d cands=%-7d freq=%-7d rows=%-7d pair pass: pairs=%v reduce=%v\n",
+						it.K, it.Candidates, it.Frequent, it.Rows, it.Count, it.Reduce)
 				} else {
-					fmt.Printf("  k=%-2d cands=%-7d freq=%-7d gen=%v build=%v count=%v reduce=%v\n",
-						it.K, it.Candidates, it.Frequent, it.CandGen, it.TreeBuild, it.Count, it.Reduce)
+					fmt.Printf("  k=%-2d cands=%-7d freq=%-7d rows=%-7d gen=%v build=%v count=%v reduce=%v\n",
+						it.K, it.Candidates, it.Frequent, it.Rows, it.CandGen, it.TreeBuild, it.Count, it.Reduce)
 				}
 				if it.ChunksClaimed != nil {
 					var steals int64

@@ -137,14 +137,19 @@ type Options struct {
 	// more than 2³¹−1 transactions (an int32 cell could overflow). Every
 	// hash-tree walk (k ≥ 3, that k=2 fallback, each candidate batch)
 	// counts each transaction projected onto the tree's candidate items
-	// (hashtree.CountOpts.Project). The output is bit-identical; the work
-	// model differs, so the default (off) keeps the paper's counting.
-	// PCCD ignores it.
+	// (hashtree.CountOpts.Project). Each unbatched hash-tree pass k keeps
+	// the rows that can still hold a (k+1)-candidate, projected, as the
+	// residual database pass k+1 counts over instead of the source; a
+	// residue over apriori.PairPassMaxBytes is dropped. The output is
+	// bit-identical; the work model differs, so the default (off) keeps the
+	// paper's counting. PCCD ignores it.
 	Project bool
 
-	// pairMaxBytes overrides apriori.PairPassMaxBytes in tests (0: the
+	// pairMaxBytes and residueMaxBytes override apriori.PairPassMaxBytes
+	// as the pair triangles' and the residue's ceilings in tests (0: the
 	// package ceiling).
-	pairMaxBytes int64
+	pairMaxBytes    int64
+	residueMaxBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -162,6 +167,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.pairMaxBytes <= 0 {
 		o.pairMaxBytes = apriori.PairPassMaxBytes
+	}
+	if o.residueMaxBytes <= 0 {
+		o.residueMaxBytes = apriori.PairPassMaxBytes
 	}
 	return o
 }
@@ -199,11 +207,12 @@ func (o Options) fingerprint() uint64 {
 	put(uint64(o.DBPart))
 	put(uint64(o.AdaptiveMinUnits))
 	put(uint64(o.ChunkSize))
-	// Project hashes as 2 and off as 0. Checkpoints from before projected
-	// counting hashed their pair-pass-only option as 1: their k ≥ 3 work
-	// figures are unprojected, so they must not resume under Project.
+	// Project hashes as 3 and off as 0. Checkpoints from before projected
+	// counting hashed their pair-pass-only option as 1 (their k ≥ 3 work is
+	// unprojected), and those from before the residual database hashed it
+	// as 2 (their k ≥ 4 work is a full scan): neither resumes under Project.
 	if o.Project {
-		put(2)
+		put(3)
 	} else {
 		put(0)
 	}
@@ -229,6 +238,12 @@ type PhaseTiming struct {
 	// under Options.MaxCandidatesInMemory (1 = everything fit in one tree;
 	// each batch pays a full database pass).
 	Batches int
+	// Rows is how many transactions each of the iteration's counting
+	// passes read: the whole source, or the residual database the previous
+	// pass left (Options.Project). A batched iteration reads them once per
+	// batch. Zero for a checkpointed iteration, which the resumed process
+	// did not run.
+	Rows int
 
 	// GenWork[p] is processor p's candidate-generation work; for a
 	// sequential generation all work lands on processor 0.
@@ -354,6 +369,7 @@ type miner struct {
 	d        *db.Database  // in-RAM source; nil for out-of-core runs
 	store    *seg.Reader   // segmented source; nil for in-RAM runs
 	pipe     *seg.Pipeline // the store's pipeline, serving every pass of the run
+	resid    *db.Database  // the residual database the next pass reads instead of the source; nil: the source
 	numTx    int
 	numItems int
 	opts     Options
@@ -457,7 +473,7 @@ func (m *miner) mine(ctx context.Context, start time.Time) (*apriori.Result, *St
 	numItems := m.numItems
 	it1 := PhaseTiming{
 		K: 1, Count: time.Since(t0), Candidates: numItems, Frequent: len(f1),
-		CountWork: f1Work, Batches: 1,
+		CountWork: f1Work, Batches: 1, Rows: m.numTx,
 	}
 	it1.ReduceWork = int64(numItems)
 	m.stats.PerIter = append(m.stats.PerIter, it1)
@@ -530,8 +546,16 @@ func (m *miner) loop(ctx context.Context, startK int, prev []itemset.Itemset) er
 }
 
 // iterate runs one k-iteration: candidate generation, then per-batch tree
-// build / count / extract. stop reports the no-candidates fixpoint.
+// build / count / extract. stop reports the no-candidates fixpoint. It
+// leaves in m.resid the residue the iteration wrote for the next one, or nil.
 func (m *miner) iterate(ctx context.Context, k int, prev []itemset.Itemset) (fk []apriori.FrequentItemset, stop bool, err error) {
+	var next *residueWriter
+	defer func() {
+		if err != nil {
+			next = nil
+		}
+		m.resid = next.finish()
+	}()
 	if k == 2 && m.pairPassFits(len(prev)) {
 		fk, err := m.pairPass(ctx)
 		return fk, false, err
@@ -573,13 +597,17 @@ func (m *miner) iterate(ctx context.Context, k int, prev []itemset.Itemset) (fk 
 	}
 	numBatches := (len(cands) + batchSize - 1) / batchSize
 	pt.Batches = numBatches
+	pt.Rows = m.passRows()
+	if m.writesResidue(k, numBatches) {
+		next = m.newResidueWriter()
+	}
 	for b := 0; b < numBatches; b++ {
 		lo := b * batchSize
 		hi := lo + batchSize
 		if hi > len(cands) {
 			hi = len(cands)
 		}
-		bfk, err := m.buildCountExtract(ctx, k, cands[lo:hi], &pt)
+		bfk, err := m.buildCountExtract(ctx, k, cands[lo:hi], &pt, next)
 		if err != nil {
 			m.stats.PerIter = append(m.stats.PerIter, pt)
 			return nil, false, err
@@ -593,6 +621,33 @@ func (m *miner) iterate(ctx context.Context, k int, prev []itemset.Itemset) (fk 
 	m.rec.IterStats(k, len(cands), len(fk))
 	m.stats.PerIter = append(m.stats.PerIter, pt)
 	return fk, false, nil
+}
+
+// writesResidue reports whether hash-tree pass k, counted in the given
+// number of candidate batches, keeps a residue: the counting is projected,
+// the pass is unbatched (a batch's tree holds only some of C_k's items, so
+// no one walk sees a row's projection onto all of them), and a pass k+1 may
+// follow.
+func (m *miner) writesResidue(k, batches int) bool {
+	return m.opts.Project && batches == 1 && (m.opts.MaxK == 0 || k < m.opts.MaxK)
+}
+
+// source returns the in-RAM database the next counting pass reads: the
+// residue when there is one, otherwise the in-RAM source, and nil for a
+// segmented store, which streams through its pipeline.
+func (m *miner) source() *db.Database {
+	if m.resid != nil {
+		return m.resid
+	}
+	return m.d
+}
+
+// passRows returns how many transactions the next counting pass reads.
+func (m *miner) passRows() int {
+	if d := m.source(); d != nil {
+		return d.Len()
+	}
+	return m.numTx
 }
 
 // pairPassFits reports whether iteration 2 over n frequent items runs as the
@@ -627,7 +682,7 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 	}
 	pc := apriori.NewPairCount(m.res.ByK[1], m.numItems)
 	cells := pc.Cells()
-	pt := PhaseTiming{K: k, Candidates: cells, Batches: 1}
+	pt := PhaseTiming{K: k, Candidates: cells, Batches: 1, Rows: m.passRows()}
 	tris := make([][]int32, opts.Procs)
 
 	t0 := time.Now()
@@ -636,7 +691,7 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 	cr, err := m.countPhase(ctx, "pairs", k, func(p int) rangeCounter {
 		tri, scratch := make([]int32, cells), make([]int32, pc.N())
 		tris[p] = tri
-		return func(ctx context.Context, d *db.Database, lo, hi int) int64 {
+		return func(ctx context.Context, d *db.Database, _, lo, hi int) int64 {
 			return pc.CountRange(ctx, tri, scratch, d, lo, hi, opts.ChunkSize)
 		}
 	})
@@ -679,9 +734,11 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 }
 
 // buildCountExtract builds the hash tree over one candidate batch, counts
-// the whole database against it, and extracts its frequent itemsets,
-// accumulating work-model figures into pt.
-func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.Itemset, pt *PhaseTiming) ([]apriori.FrequentItemset, error) {
+// the pass's rows against it, and extracts its frequent itemsets,
+// accumulating work-model figures into pt. A non-nil w keeps the walked rows
+// of at least k+1 items as the next pass's residue; keeping them charges no
+// work, since the projection already read and charged every item copied.
+func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.Itemset, pt *PhaseTiming, w *residueWriter) ([]apriori.FrequentItemset, error) {
 	opts := m.opts
 	if err := robust.Canceled(ctx, "build", k); err != nil {
 		return nil, err
@@ -714,14 +771,19 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	m.rec.BeginPhase(obs.PhaseCount, k)
 	cr, err := m.countPhase(ctx, "count", k, func(p int) rangeCounter {
 		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Project: opts.Project, Proc: p})
-		return func(ctx context.Context, d *db.Database, lo, hi int) int64 {
+		keep := w.buf(p)
+		return func(ctx context.Context, d *db.Database, base, lo, hi int) int64 {
 			before := c.Work
+			keep.begin(base + lo)
 			for i := lo; i < hi; i++ {
 				if (i-lo)%opts.ChunkSize == 0 && ctx.Err() != nil {
 					break
 				}
-				c.CountTransaction(d.Items(i))
+				if row := c.CountTransaction(d.Items(i)); keep != nil && len(row) > k {
+					keep.add(d.TID(i), row)
+				}
 			}
+			keep.end()
 			return c.Work - before
 		}
 	})
@@ -792,15 +854,16 @@ func splitRange(p, procs, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// forEachSegment runs fn over the run's source one segment at a time,
-// passing the segment's global transaction offset. A segmented store streams
-// through its pipeline; the in-RAM database is the single segment −1 at
-// offset 0, so its fault-injection sites name no segment. A pass canceled
-// between segments returns nil: the caller's robust.Canceled check discards
-// the partial pass, as it does an interrupted in-RAM pass.
+// forEachSegment runs fn over the pass's rows one segment at a time,
+// passing the segment's global transaction offset. A residue, once there is
+// one, is the single segment −1 at offset 0, as is the in-RAM source, so
+// their fault-injection sites name no segment; a segmented store otherwise
+// streams through its pipeline. A pass canceled between segments returns
+// nil: the caller's robust.Canceled check discards the partial pass, as it
+// does an interrupted in-RAM pass.
 func (m *miner) forEachSegment(ctx context.Context, fn func(si, base int, sd *db.Database) error) error {
-	if m.pipe == nil {
-		return fn(-1, 0, m.d)
+	if d := m.source(); d != nil {
+		return fn(-1, 0, d)
 	}
 	err := m.pipe.ForEach(ctx, func(si int, sd *db.Database) error {
 		return fn(si, int(m.store.Segment(si).TxOff), sd) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction offset converts losslessly
@@ -811,17 +874,17 @@ func (m *miner) forEachSegment(ctx context.Context, fn func(si, base int, sd *db
 	return err
 }
 
-// staticRanges returns each processor's global transaction range under the
-// static partition of iteration k: the workload split's Σ C(|t|,k) balance
-// (in RAM only), otherwise equal transaction counts. Stealing's iteration 1
-// counts these block ranges too.
+// staticRanges returns each processor's global range of the pass's rows
+// under the static partition of iteration k: the workload split's
+// Σ C(|t|,k) balance (in RAM only), otherwise equal transaction counts.
+// Stealing's iteration 1 counts these block ranges too.
 func (m *miner) staticRanges(k int) []db.Slice {
 	if m.opts.DBPart == PartitionWorkload {
-		return m.d.WorkloadPartition(m.opts.Procs, k)
+		return m.source().WorkloadPartition(m.opts.Procs, k)
 	}
 	out := make([]db.Slice, m.opts.Procs)
 	for p := range out {
-		out[p].Lo, out[p].Hi = splitRange(p, m.opts.Procs, m.numTx)
+		out[p].Lo, out[p].Hi = splitRange(p, m.opts.Procs, m.passRows())
 	}
 	return out
 }
@@ -911,15 +974,16 @@ type countResult struct {
 
 // rangeCounter is one worker's kernel for a counting pass, over the hash
 // tree or, in the k=2 pair pass, into a private pair triangle. It counts
-// transactions [lo, hi) of one segment d, polling ctx every ChunkSize
-// transactions, and returns their work units.
-type rangeCounter func(ctx context.Context, d *db.Database, lo, hi int) int64
+// transactions [lo, hi) of one segment d, whose first transaction has
+// global index base, polling ctx every ChunkSize transactions, and returns
+// their work units.
+type rangeCounter func(ctx context.Context, d *db.Database, base, lo, hi int) int64
 
-// countPhase runs one counting pass over the run's source on the pool and
-// returns its accounting. newCounter builds worker p's kernel once per pass;
-// the worker keeps it across segments, so the pass counts exactly what a
-// pass over the concatenated database would. phase names the
-// fault-injection sites.
+// countPhase runs one counting pass over the pass's rows (the residue or
+// the source, see forEachSegment) on the pool and returns its accounting.
+// newCounter builds worker p's kernel once per pass; the worker keeps it
+// across segments, so the pass counts exactly what a pass over the
+// concatenated database would. phase names the fault-injection sites.
 //
 //   - Static modes: worker p counts its global range (staticRanges) clipped
 //     to each segment — the same transactions, in the same order, as over
@@ -953,7 +1017,7 @@ func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter 
 	var ranges []db.Slice
 	var chunkWork []int64
 	if m.opts.DBPart == PartitionStealing {
-		chunkWork = make([]int64, sched.NumChunks(m.numTx, cs))
+		chunkWork = make([]int64, sched.NumChunks(m.passRows(), cs))
 	} else {
 		ranges = m.staticRanges(k)
 	}
@@ -966,7 +1030,7 @@ func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter 
 				fi.Fire(phase, k, p, si)
 				count := kernel(p)
 				lo, hi := max(ranges[p].Lo, base)-base, min(ranges[p].Hi, end)-base
-				acc[p].Work += count(ctx, sd, lo, hi)
+				acc[p].Work += count(ctx, sd, base, lo, hi)
 				acc[p].ElapsedNS += time.Since(t0).Nanoseconds()
 			})
 		}
@@ -994,7 +1058,7 @@ func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter 
 				lo, hi := max(c*cs, base)-base, min((c+1)*cs, end)-base
 				// Each chunk is claimed once per segment, and segments are
 				// separated by the pool barrier, so this write is private.
-				cw := count(ctx, sd, lo, hi)
+				cw := count(ctx, sd, base, lo, hi)
 				chunkWork[c] += cw
 				w.Work += cw
 				ow.EndChunk(k, c)

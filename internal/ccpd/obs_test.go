@@ -3,6 +3,7 @@ package ccpd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -14,14 +15,24 @@ import (
 
 // TestObsEquivalence is the observer-effect gate: mining with a recorder
 // attached must yield bit-identical frequent sets and work models to mining
-// without one. The recorder may measure; it must not perturb.
+// without one, with the paper's counting and with Options.Project (whose
+// later passes read the residue). The recorder may measure; it must not
+// perturb.
 func TestObsEquivalence(t *testing.T) {
 	d := testDB(t)
-	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionStealing} {
+	for _, c := range []struct {
+		part    DBPartition
+		project bool
+	}{
+		{PartitionBlock, false}, {PartitionWorkload, false}, {PartitionStealing, false},
+		{PartitionBlock, true}, {PartitionWorkload, true}, {PartitionStealing, true},
+	} {
+		part := c.part
 		base := Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, Counter: hashtree.CounterAtomic,
 			Balance: BalanceBitonic, DBPart: part, ChunkSize: 16,
+			Project: c.project,
 		}
 		plainRes, plainStats, err := Mine(d, base)
 		if err != nil {
@@ -81,8 +92,16 @@ func TestObsConcurrentRecording(t *testing.T) {
 
 // TestTraceMatchesStats cross-checks the two reporting paths: the per-track
 // chunk spans in the exported trace must agree with the PhaseTiming
-// ChunksClaimed/Steals counters and the metrics snapshot, per processor.
+// ChunksClaimed/Steals counters and the metrics snapshot, per processor,
+// with the paper's counting and with Options.Project, whose passes from k=4
+// on claim chunks of the residue.
 func TestTraceMatchesStats(t *testing.T) {
+	for _, project := range []bool{false, true} {
+		t.Run(fmt.Sprintf("project=%v", project), func(t *testing.T) { traceMatchesStats(t, project) })
+	}
+}
+
+func traceMatchesStats(t *testing.T, project bool) {
 	d := testDB(t)
 	const procs = 4
 	rec := obs.NewRecorder(procs)
@@ -90,7 +109,7 @@ func TestTraceMatchesStats(t *testing.T) {
 		Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 		Procs:   procs, Counter: hashtree.CounterAtomic,
 		Balance: BalanceBitonic, DBPart: PartitionStealing, ChunkSize: 16,
-		Obs: rec,
+		Obs: rec, Project: project,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,10 @@ type SegmentedOptions struct {
 	Options
 	// MemBudget caps the bytes of decoded segments resident at once (the
 	// seg.Pipeline budget). 0 double-buffers; a budget below two segments
-	// degrades to synchronous load-then-count.
+	// degrades to synchronous load-then-count. Under Options.Project the
+	// residual database sits outside it, as the pair triangles do, under
+	// the same apriori.PairPassMaxBytes ceiling; once a pass has left one,
+	// later passes read it in RAM and load no segment.
 	MemBudget int64
 	// LoadDelay adds synthetic latency to every segment load — the
 	// prefetch-overlap benchmarks' slow-disk model.
@@ -29,8 +32,9 @@ type SegmentedOptions struct {
 
 // MineSegmented mines a segmented store without ever materializing the whole
 // database: every counting pass streams the segments through a pipeline that
-// prefetches segment N+1 while the pool counts segment N. It runs the same
-// counting passes as MineCtx, Options.Project included, so the frequent sets
+// prefetches segment N+1 while the pool counts segment N, until a pass
+// leaves a residual database (Options.Project) for the next one to read in
+// RAM. It runs the same counting passes as MineCtx, so the frequent sets
 // and the deterministic work model (CountWork, ModelTime, IdleWork) are
 // bit-identical to an in-RAM Mine over the same data and options: each
 // worker (static block) or chunk (PartitionStealing) covers exactly the same

@@ -158,19 +158,23 @@ func TestPairPassCancel(t *testing.T) {
 	}
 }
 
-// Options fingerprints of robustOpts().withDefaults() from before projected
-// counting, when the option was pair-pass-only: off, and on.
+// Options fingerprints of robustOpts().withDefaults() from before the
+// residual database: off; on, when the option was pair-pass-only; and on,
+// when projected counting read the whole source every pass.
 const (
-	goldenFingerprintOff    = 0xdfa054ad796b4a1c
-	goldenFingerprintPaired = 0xfe9b1bb6845a943d
+	goldenFingerprintOff       = 0xdfa054ad796b4a1c
+	goldenFingerprintPaired    = 0xfe9b1bb6845a943d
+	goldenFingerprintFullScans = 0x1d95e2bf8f49de5e
 )
 
 // TestPairPassResume: Project is part of the options fingerprint, and a
 // checkpointed run resumed before k=2, between k=2 and the projected k=3,
-// or after either reproduces the straight run bit for bit, work model
-// included. The fingerprint with the option off is unchanged, so
+// or after any later iteration reproduces the straight run bit for bit,
+// work model included: a run stopped at k ≥ 3 rebuilds the residue its
+// first pass reads. The fingerprint with the option off is unchanged, so
 // paper-configuration checkpoints still resume; a checkpoint written under
-// the pair-pass-only option is refused, since its k ≥ 3 work is unprojected.
+// the pair-pass-only option (k ≥ 3 work unprojected) or under projected
+// full scans (k ≥ 4 work over the whole source) is refused.
 func TestPairPassResume(t *testing.T) {
 	off := robustOpts().withDefaults()
 	on := off
@@ -178,12 +182,12 @@ func TestPairPassResume(t *testing.T) {
 	if got := off.fingerprint(); got != goldenFingerprintOff {
 		t.Errorf("fingerprint with Project off = %#x, want %#x (paper-configuration checkpoints would stop resuming)", got, uint64(goldenFingerprintOff))
 	}
-	if got := on.fingerprint(); got == goldenFingerprintPaired || got == goldenFingerprintOff {
-		t.Errorf("fingerprint with Project on = %#x collides with a pre-projection fingerprint", got)
+	if got := on.fingerprint(); got == goldenFingerprintPaired || got == goldenFingerprintOff || got == goldenFingerprintFullScans {
+		t.Errorf("fingerprint with Project on = %#x collides with an earlier fingerprint", got)
 	}
 
 	d := testDB(t)
-	for _, stopAt := range []int{1, 2, 3, 4} {
+	for _, stopAt := range []int{1, 2, 3, 4, 5, 6} {
 		opts := robustOpts()
 		opts.DBPart, opts.Project = PartitionStealing, true
 		want, wantSt, err := Mine(d, opts)
@@ -207,29 +211,39 @@ func TestPairPassResume(t *testing.T) {
 			t.Errorf("stop at k=%d: ModelTime %d (paired %v), straight %d",
 				stopAt, st.ModelTime(), st.PerIter[1].Paired(), wantSt.ModelTime())
 		}
+		for i := stopAt; i < len(wantSt.PerIter); i++ {
+			g, w := st.PerIter[i], wantSt.PerIter[i]
+			if g.ModelTime(opts.Procs) != w.ModelTime(opts.Procs) || g.Rows != w.Rows {
+				t.Errorf("stop at k=%d: resumed k=%d ModelTime %d over %d rows, straight %d over %d",
+					stopAt, w.K, g.ModelTime(opts.Procs), g.Rows, w.ModelTime(opts.Procs), w.Rows)
+			}
+		}
 		resumed.Project = false
 		if _, _, err := Resume(context.Background(), path, d, resumed); err == nil {
 			t.Errorf("stop at k=%d: resume without Project accepted a projected checkpoint", stopAt)
 		}
 	}
 
-	// A checkpoint stamped with the pair-pass-only fingerprint is refused.
-	opts := robustOpts()
-	opts.Checkpoint, opts.MaxK = filepath.Join(t.TempDir(), "old.ckpt"), 2
-	if _, _, err := Mine(d, opts); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ckpt.ReadCheckpointFile(opts.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.OptsHash = goldenFingerprintPaired
-	if err := c.WriteFile(opts.Checkpoint); err != nil {
-		t.Fatal(err)
-	}
-	opts.MaxK, opts.Project = 0, true
-	if _, _, err := Resume(context.Background(), opts.Checkpoint, d, opts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Errorf("resume under Project of a checkpoint written under the pair-pass-only option = %v, want a fingerprint mismatch", err)
+	// A checkpoint stamped with the pair-pass-only or the full-scan
+	// fingerprint is refused.
+	for _, old := range []uint64{goldenFingerprintPaired, goldenFingerprintFullScans} {
+		opts := robustOpts()
+		opts.Checkpoint, opts.MaxK = filepath.Join(t.TempDir(), "old.ckpt"), 2
+		if _, _, err := Mine(d, opts); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ckpt.ReadCheckpointFile(opts.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.OptsHash = old
+		if err := c.WriteFile(opts.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		opts.MaxK, opts.Project = 0, true
+		if _, _, err := Resume(context.Background(), opts.Checkpoint, d, opts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Errorf("resume under Project of a checkpoint stamped %#x = %v, want a fingerprint mismatch", old, err)
+		}
 	}
 }
 
@@ -242,7 +256,13 @@ func TestPairPassResume(t *testing.T) {
 // hash-tree walk is projected: it charges one WorkItemScan per item of each
 // transaction of at least k items and walks only the candidate items. The
 // pair-pass-only option gave 4,653,087 at P=1 (block: 2,150,522 at k=3,
-// 1,381,117 at k=4).
+// 1,381,117 at k=4). From k=4 on each pass reads the residue the previous
+// one kept, whose partitions and stealing chunks cover its rows only. The
+// full scans before it gave 1,033,990 at P=1 (k=4..7: 128,325, 30,743,
+// 21,681, 18,332) and 519,337, 517,707 and 521,547 at P=4 (block,
+// workload, stealing). Stealing's P=4 k=4 and k=5 rose (35,654 → 38,481,
+// 8,726 → 12,262): a residue of a few hundred rows fills only one or two
+// 256-row chunks, so one processor counts most of the pass.
 func TestModelTimePinnedProject(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
@@ -254,16 +274,16 @@ func TestModelTimePinnedProject(t *testing.T) {
 	}
 	want := map[DBPartition]map[int]pin{
 		PartitionBlock: {
-			1: {1033990, []int64{20873, 442243, 371793, 128325, 30743, 21681, 18332, 0}},
-			4: {519337, []int64{6122, 359862, 98121, 35946, 8643, 5833, 4810, 0}},
+			1: {963746, []int64{20873, 442243, 371793, 113010, 12654, 2911, 262, 0}},
+			4: {498277, []int64{6122, 359862, 98121, 29589, 3673, 829, 81, 0}},
 		},
 		PartitionWorkload: {
-			1: {1033990, []int64{20873, 442243, 371793, 128325, 30743, 21681, 18332, 0}},
-			4: {517707, []int64{5972, 358811, 98583, 35142, 8503, 5728, 4968, 0}},
+			1: {963746, []int64{20873, 442243, 371793, 113010, 12654, 2911, 262, 0}},
+			4: {498537, []int64{5972, 358811, 98583, 30322, 3611, 1157, 81, 0}},
 		},
 		PartitionStealing: {
-			1: {1033990, []int64{20873, 442243, 371793, 128325, 30743, 21681, 18332, 0}},
-			4: {521547, []int64{6115, 360122, 100446, 35654, 8726, 5741, 4743, 0}},
+			1: {963746, []int64{20873, 442243, 371793, 113010, 12654, 2911, 262, 0}},
+			4: {520492, []int64{6115, 360122, 100446, 38481, 12262, 2809, 257, 0}},
 		},
 	}
 	for part, byProcs := range want {

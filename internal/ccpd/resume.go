@@ -120,6 +120,7 @@ func Resume(ctx context.Context, path string, d *db.Database, opts Options) (*ap
 	for i, f := range last {
 		prev[i] = f.Items
 	}
+	m.rebuildResidue(ctx, c)
 	err = m.loop(ctx, c.NextK, prev)
 	m.stats.Total = time.Since(start)
 	return m.finish(err)

@@ -54,14 +54,23 @@ func FromTransactions(ts []Transaction, numItems int) (*Database, error) {
 // run on it unchanged. Only the column shape is checked here; callers
 // ingesting untrusted bytes must run Validate.
 func FromColumns(tids []int64, offsets []int32, arena []itemset.Item, numItems int) (*Database, error) {
+	if int64(len(arena)) > maxArenaItems {
+		return nil, ErrArenaFull
+	}
+	return FromDerivedColumns(tids, offsets, arena, numItems)
+}
+
+// FromDerivedColumns is FromColumns without the arena cap: for columns a
+// miner derives from rows it already holds and bounds by its own byte
+// ceiling (ccpd's residual database), which a test-lowered cap on loaded
+// segments must not refuse. The int32 offsets still bound the arena at
+// 2³¹−1 items.
+func FromDerivedColumns(tids []int64, offsets []int32, arena []itemset.Item, numItems int) (*Database, error) {
 	if len(offsets) != len(tids)+1 {
 		return nil, fmt.Errorf("db: offsets len %d != tids len %d + 1", len(offsets), len(tids))
 	}
 	if len(offsets) > 0 && offsets[0] != 0 {
 		return nil, fmt.Errorf("db: offsets[0] = %d, want 0", offsets[0])
-	}
-	if int64(len(arena)) > maxArenaItems {
-		return nil, ErrArenaFull
 	}
 	if last := offsets[len(offsets)-1]; int(last) != len(arena) {
 		return nil, fmt.Errorf("db: final offset %d != arena len %d", last, len(arena))

@@ -256,12 +256,17 @@ func (t *Tree) NewCountCtx(counters *Counters, opts CountOpts) *CountCtx {
 // CountOpts.Project the walk runs over the transaction's candidate items
 // only, with the same counts.
 //
+// It returns the row the walk ran over: the projected transaction under
+// Project, held in a buffer the next call overwrites, otherwise items
+// itself. A transaction left with fewer than k items is not walked and
+// returns nil.
+//
 //armlint:noalloc
-func (ctx *CountCtx) CountTransaction(items itemset.Itemset) {
+func (ctx *CountCtx) CountTransaction(items itemset.Itemset) itemset.Itemset {
 	f := ctx.f
 	k := f.k
 	if len(items) < k {
-		return
+		return nil
 	}
 	ctx.txSerial++
 	if proj := ctx.proj; proj != nil {
@@ -278,7 +283,7 @@ func (ctx *CountCtx) CountTransaction(items itemset.Itemset) {
 			}
 		}
 		if n < k {
-			return
+			return nil
 		}
 		items = proj[:n]
 	} else if stamp := ctx.itemStamp; stamp != nil {
@@ -289,6 +294,19 @@ func (ctx *CountCtx) CountTransaction(items itemset.Itemset) {
 			}
 		}
 	}
+	ctx.walk(items)
+	return items
+}
+
+// walk is CountTransaction's tree walk over the stamped (and, under Project,
+// projected) items. It is a function of its own because inlined into
+// CountTransaction, with the returned row live across its loop, the walk ran
+// about 4% slower (a projected k=3 pass over Quest T10.I4.D200K).
+//
+//armlint:noalloc
+func (ctx *CountCtx) walk(items itemset.Itemset) {
+	f := ctx.f
+	k := f.k
 	sc := ctx.opts.ShortCircuit
 	H := int32(f.fanout)
 
