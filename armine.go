@@ -457,20 +457,18 @@ func MineCCPDSegmentedCtx(ctx context.Context, r *SegReader, opts SegmentedOptio
 // VBitSegmentedOptions configures an out-of-core vertical run.
 type VBitSegmentedOptions = vbit.SegmentedOptions
 
-// VBitSegmentedStats summarizes an out-of-core vertical run (per-level
-// figures plus pipeline accounting).
-type VBitSegmentedStats = vbit.SegmentedStats
-
-// MineVBitSegmented mines a segmented store with the vertical engine,
-// level-wise: per level each segment materializes as a small vertical
-// layout and candidate supports accumulate across segments through the
-// word-parallel popcount kernels.
-func MineVBitSegmented(r *SegReader, opts VBitSegmentedOptions) (*Result, *VBitSegmentedStats, error) {
+// MineVBitSegmented mines a segmented store with the vertical engine's
+// in-RAM pipeline: the F1 scan, the column fill and the pair pass stream
+// the segments, the fill writes global tids, and the class DFS runs over
+// resident columns. Frequent sets and the work model equal MineVBit's over
+// the same transactions; VBitStats.OutOfCore carries the pipeline
+// accounting. A store of more than 2³¹−1 transactions is refused.
+func MineVBitSegmented(r *SegReader, opts VBitSegmentedOptions) (*Result, *VBitStats, error) {
 	return vbit.MineSegmented(r, opts)
 }
 
 // MineVBitSegmentedCtx is MineVBitSegmented with cooperative cancellation.
-func MineVBitSegmentedCtx(ctx context.Context, r *SegReader, opts VBitSegmentedOptions) (*Result, *VBitSegmentedStats, error) {
+func MineVBitSegmentedCtx(ctx context.Context, r *SegReader, opts VBitSegmentedOptions) (*Result, *VBitStats, error) {
 	return vbit.MineSegmentedCtx(ctx, r, opts)
 }
 

@@ -341,9 +341,11 @@ func run(o cliOptions) error {
 	default:
 		res, stats, err = engine.Dispatch(context.Background(), algo, d, r, spec)
 	}
-	if errors.Is(err, engine.ErrNoOutOfCore) || errors.Is(err, ccpd.ErrSegmentedWorkload) {
-		// A segmented store the engine or partition cannot mine: the
-		// rejection comes before any work, and -algo auto never plans one.
+	if errors.Is(err, engine.ErrNoOutOfCore) || errors.Is(err, ccpd.ErrSegmentedWorkload) ||
+		errors.Is(err, engine.ErrOverBudget) {
+		// A segmented store the engine, partition or budget cannot mine:
+		// the rejection comes before any work, and -algo auto never plans
+		// one.
 		return &usageError{msg: err.Error()}
 	}
 	if err != nil {
@@ -495,8 +497,6 @@ func printStats(st *engine.Stats, verbose bool) {
 				fmt.Printf("  pair pass %v pairwork=%v\n", v.Pairs, v.PairWork)
 			}
 		}
-	case st.VBitSegmented != nil:
-		fmt.Printf("total time: %v (%d levels)\n", st.Total, st.VBitSegmented.Levels)
 	case st.CCPD != nil:
 		fmt.Printf("total time: %v (counting %v)\n", st.Total, st.Count)
 		if verbose {

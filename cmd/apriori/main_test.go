@@ -201,6 +201,23 @@ func TestRunSegmentedStore(t *testing.T) {
 		}
 	}
 	{
+		// vbit keeps a store's columns resident: a budget below their
+		// projection is a usage error, which -algo auto routes to ccpd.
+		o := base()
+		o.GenSpec = ""
+		o.DBPath = path
+		o.Algo = "vbit"
+		o.MemBudget = "8K"
+		var ue *usageError
+		if err := run(o); !errors.As(err, &ue) || !strings.Contains(err.Error(), "memory budget") {
+			t.Errorf("segmented vbit -mem-budget 8K: err = %v, want usage error", err)
+		}
+		o.Algo = "auto"
+		if err := run(o); err != nil {
+			t.Errorf("segmented auto -mem-budget 8K: %v", err)
+		}
+	}
+	{
 		o := base() // vbit ignores -dbpart
 		o.GenSpec = ""
 		o.DBPath = path

@@ -114,7 +114,7 @@ func ReduceRange(tris [][]int32, lo, hi int) {
 		for _, t := range tris {
 			s += int64(t[c])
 		}
-		dst[c] = int32(s) //armlint:narrowok a cell counts each transaction holding both items once: at most half of an in-RAM database's int32-addressed arena, and ccpd runs the pass over at most 2³¹−1 transactions, so the sum stays below 2³¹
+		dst[c] = int32(s) //armlint:narrowok a cell counts each transaction holding both items once: at most half of an in-RAM database's int32-addressed arena, and ccpd and vbit run the pass over at most 2³¹−1 transactions, so the sum stays below 2³¹
 	}
 }
 

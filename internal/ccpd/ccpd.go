@@ -110,7 +110,8 @@ type Options struct {
 	// ChunkSize is the transactions-per-chunk granularity of
 	// PartitionStealing: small enough that a few hundred transactions fit
 	// in cache and bound the end-of-phase imbalance, large enough that one
-	// deque operation is noise against counting the chunk.
+	// deque operation is noise against counting the chunk. A pass over a
+	// residue (Project) cuts sched.ChunkFor's chunks, at most this large.
 	// It is also the stride at which static-partition workers poll for
 	// cancellation. 0 uses 256.
 	ChunkSize int
@@ -207,12 +208,14 @@ func (o Options) fingerprint() uint64 {
 	put(uint64(o.DBPart))
 	put(uint64(o.AdaptiveMinUnits))
 	put(uint64(o.ChunkSize))
-	// Project hashes as 3 and off as 0. Checkpoints from before projected
+	// Project hashes as 4 and off as 0. Checkpoints from before projected
 	// counting hashed their pair-pass-only option as 1 (their k ≥ 3 work is
-	// unprojected), and those from before the residual database hashed it
-	// as 2 (their k ≥ 4 work is a full scan): neither resumes under Project.
+	// unprojected), those from before the residual database as 2 (their
+	// k ≥ 4 work is a full scan), and those from before residue passes cut
+	// their own stealing chunks as 3 (their stealing work model differs):
+	// none resumes under Project.
 	if o.Project {
-		put(3)
+		put(4)
 	} else {
 		put(0)
 	}
@@ -367,8 +370,7 @@ func (s *Stats) TotalSteals() int64 {
 // accumulated.
 type miner struct {
 	d        *db.Database  // in-RAM source; nil for out-of-core runs
-	store    *seg.Reader   // segmented source; nil for in-RAM runs
-	pipe     *seg.Pipeline // the store's pipeline, serving every pass of the run
+	pipe     *seg.Pipeline // the segmented store's pipeline, serving every pass of the run; nil in RAM
 	resid    *db.Database  // the residual database the next pass reads instead of the source; nil: the source
 	numTx    int
 	numItems int
@@ -854,26 +856,6 @@ func splitRange(p, procs, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// forEachSegment runs fn over the pass's rows one segment at a time,
-// passing the segment's global transaction offset. A residue, once there is
-// one, is the single segment −1 at offset 0, as is the in-RAM source, so
-// their fault-injection sites name no segment; a segmented store otherwise
-// streams through its pipeline. A pass canceled between segments returns
-// nil: the caller's robust.Canceled check discards the partial pass, as it
-// does an interrupted in-RAM pass.
-func (m *miner) forEachSegment(ctx context.Context, fn func(si, base int, sd *db.Database) error) error {
-	if d := m.source(); d != nil {
-		return fn(-1, 0, d)
-	}
-	err := m.pipe.ForEach(ctx, func(si int, sd *db.Database) error {
-		return fn(si, int(m.store.Segment(si).TxOff), sd) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction offset converts losslessly
-	})
-	if err != nil && errors.Is(err, ctx.Err()) {
-		return nil
-	}
-	return err
-}
-
 // staticRanges returns each processor's global range of the pass's rows
 // under the static partition of iteration k: the workload split's
 // Σ C(|t|,k) balance (in RAM only), otherwise equal transaction counts.
@@ -887,14 +869,6 @@ func (m *miner) staticRanges(k int) []db.Slice {
 		out[p].Lo, out[p].Hi = splitRange(p, m.opts.Procs, m.passRows())
 	}
 	return out
-}
-
-// chunkSpan returns the global chunk ids overlapping transactions [base, end).
-func chunkSpan(base, end, chunkSize int) (cLo, cHi int) {
-	if end <= base {
-		return 0, 0
-	}
-	return base / chunkSize, (end + chunkSize - 1) / chunkSize
 }
 
 // frequentOne is iteration 1: each worker counts the items of its static
@@ -916,13 +890,14 @@ func (m *miner) frequentOne(ctx context.Context) ([]apriori.FrequentItemset, []i
 	if m.opts.DBPart == PartitionStealing {
 		chunkWork = make([]int64, sched.NumChunks(m.numTx, cs))
 	}
-	err := m.forEachSegment(ctx, func(si, base int, sd *db.Database) error {
+	err := seg.EachSegment(ctx, m.source(), m.pipe, func(si, base int, sd *db.Database) error {
 		end := base + sd.Len()
 		if chunkWork != nil {
-			cLo, cHi := chunkSpan(base, end, cs)
+			cLo, cHi := sched.ChunkSpan(base, end, cs)
 			//armlint:allow ctxpoll per-chunk estimation over one resident segment; the segment loop polls between segments
 			for c := cLo; c < cHi; c++ {
-				s := db.Slice{DB: sd, Lo: max(c*cs, base) - base, Hi: min((c+1)*cs, end) - base}
+				s := db.Slice{DB: sd}
+				s.Lo, s.Hi = sched.ChunkRange(c, cs, base, end)
 				chunkWork[c] += s.EstimatedWork(1) * hashtree.WorkItemScan
 			}
 		}
@@ -980,7 +955,7 @@ type countResult struct {
 type rangeCounter func(ctx context.Context, d *db.Database, base, lo, hi int) int64
 
 // countPhase runs one counting pass over the pass's rows (the residue or
-// the source, see forEachSegment) on the pool and returns its accounting.
+// the source, see seg.EachSegment) on the pool and returns its accounting.
 // newCounter builds worker p's kernel once per pass; the worker keeps it
 // across segments, so the pass counts exactly what a pass over the
 // concatenated database would. phase names the fault-injection sites.
@@ -989,18 +964,24 @@ type rangeCounter func(ctx context.Context, d *db.Database, base, lo, hi int) in
 //     to each segment — the same transactions, in the same order, as over
 //     the whole database — polling for cancellation every ChunkSize
 //     transactions.
-//   - PartitionStealing keeps the global ChunkSize grid: each segment seeds
-//     a deque set with its overlapping chunks, claimed at runtime with a
-//     context check at each claim. A chunk straddling a segment edge is
-//     counted in two pieces, one per segment (the pool barrier sits between
-//     them), so ChunksClaimed sums to the chunk count plus one per straddled
-//     edge. The racy runtime assignment makes the observed per-processor
+//   - PartitionStealing cuts the pass's rows into a global chunk grid:
+//     ChunkSize rows a chunk over the source, and sched.ChunkFor's smaller
+//     chunks over a residue, whose few hundred rows would otherwise fill one
+//     or two chunks and leave one processor counting most of the pass. Each
+//     segment seeds a deque set with its overlapping chunks, claimed at
+//     runtime with a context check at each claim. A chunk straddling a
+//     segment edge is counted in two pieces, one per segment (the pool
+//     barrier sits between them), so ChunksClaimed sums to the chunk count
+//     plus one per straddled edge. The racy runtime assignment makes the observed per-processor
 //     work non-reproducible, so CountWork is instead the deterministic
 //     greedy list-schedule over the per-chunk work units — reproducible,
 //     equal for any segmentation, and summing bit-identically to any static
 //     split because per-transaction work does not depend on who counts it.
 func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter func(p int) rangeCounter) (countResult, error) {
 	procs, cs := m.opts.Procs, m.opts.ChunkSize
+	if m.resid != nil {
+		cs = sched.ChunkFor(m.resid.Len(), procs, cs)
+	}
 	rec, fi := m.rec, m.fi
 	// Workers accumulate into cache-line padded sched.PerWorker records, so
 	// live increments never invalidate a neighbour's line; the bare int64
@@ -1022,7 +1003,7 @@ func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter 
 		ranges = m.staticRanges(k)
 	}
 
-	err := m.forEachSegment(ctx, func(si, base int, sd *db.Database) error {
+	err := seg.EachSegment(ctx, m.source(), m.pipe, func(si, base int, sd *db.Database) error {
 		end := base + sd.Len()
 		if chunkWork == nil {
 			return m.pool.Run(func(p int) {
@@ -1034,7 +1015,7 @@ func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter 
 				acc[p].ElapsedNS += time.Since(t0).Nanoseconds()
 			})
 		}
-		cLo, cHi := chunkSpan(base, end, cs)
+		cLo, cHi := sched.ChunkSpan(base, end, cs)
 		st := sched.NewStealing(procs)
 		st.SeedBlocks(cHi - cLo)
 		return m.pool.Run(func(p int) {
@@ -1055,7 +1036,7 @@ func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter 
 				m.pool.NoteChunk(p, c)
 				fi.Fire(phase, k, p, c)
 				ow.BeginChunk(k, c)
-				lo, hi := max(c*cs, base)-base, min((c+1)*cs, end)-base
+				lo, hi := sched.ChunkRange(c, cs, base, end)
 				// Each chunk is claimed once per segment, and segments are
 				// separated by the pool barrier, so this write is private.
 				cw := count(ctx, sd, base, lo, hi)

@@ -61,7 +61,7 @@ func MineSegmentedCtx(ctx context.Context, r *seg.Reader, opts SegmentedOptions)
 	start := time.Now()
 	numTx := int(r.NumTx()) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
 	m := &miner{
-		store: r, numTx: numTx, numItems: r.NumItems(),
+		numTx: numTx, numItems: r.NumItems(),
 		pipe: r.NewPipeline(seg.PipelineOptions{
 			Budget: opts.MemBudget, LoadDelay: opts.LoadDelay, Obs: o.Obs,
 		}),

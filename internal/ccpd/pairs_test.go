@@ -158,13 +158,15 @@ func TestPairPassCancel(t *testing.T) {
 	}
 }
 
-// Options fingerprints of robustOpts().withDefaults() from before the
-// residual database: off; on, when the option was pair-pass-only; and on,
-// when projected counting read the whole source every pass.
+// Options fingerprints of robustOpts().withDefaults() from before residue
+// passes cut their own stealing chunks: off; on, when the option was
+// pair-pass-only; on, when projected counting read the whole source every
+// pass; and on, when residue passes kept the source's chunk grid.
 const (
-	goldenFingerprintOff       = 0xdfa054ad796b4a1c
-	goldenFingerprintPaired    = 0xfe9b1bb6845a943d
-	goldenFingerprintFullScans = 0x1d95e2bf8f49de5e
+	goldenFingerprintOff        = 0xdfa054ad796b4a1c
+	goldenFingerprintPaired     = 0xfe9b1bb6845a943d
+	goldenFingerprintFullScans  = 0x1d95e2bf8f49de5e
+	goldenFingerprintWideChunks = 0x3c90a9c89a39287f
 )
 
 // TestPairPassResume: Project is part of the options fingerprint, and a
@@ -173,8 +175,9 @@ const (
 // work model included: a run stopped at k ≥ 3 rebuilds the residue its
 // first pass reads. The fingerprint with the option off is unchanged, so
 // paper-configuration checkpoints still resume; a checkpoint written under
-// the pair-pass-only option (k ≥ 3 work unprojected) or under projected
-// full scans (k ≥ 4 work over the whole source) is refused.
+// the pair-pass-only option (k ≥ 3 work unprojected), under projected
+// full scans (k ≥ 4 work over the whole source) or with residue passes on
+// the source's chunk grid (a different stealing work model) is refused.
 func TestPairPassResume(t *testing.T) {
 	off := robustOpts().withDefaults()
 	on := off
@@ -182,7 +185,8 @@ func TestPairPassResume(t *testing.T) {
 	if got := off.fingerprint(); got != goldenFingerprintOff {
 		t.Errorf("fingerprint with Project off = %#x, want %#x (paper-configuration checkpoints would stop resuming)", got, uint64(goldenFingerprintOff))
 	}
-	if got := on.fingerprint(); got == goldenFingerprintPaired || got == goldenFingerprintOff || got == goldenFingerprintFullScans {
+	if got := on.fingerprint(); got == goldenFingerprintPaired || got == goldenFingerprintOff ||
+		got == goldenFingerprintFullScans || got == goldenFingerprintWideChunks {
 		t.Errorf("fingerprint with Project on = %#x collides with an earlier fingerprint", got)
 	}
 
@@ -224,9 +228,9 @@ func TestPairPassResume(t *testing.T) {
 		}
 	}
 
-	// A checkpoint stamped with the pair-pass-only or the full-scan
-	// fingerprint is refused.
-	for _, old := range []uint64{goldenFingerprintPaired, goldenFingerprintFullScans} {
+	// A checkpoint stamped with an earlier fingerprint under the option is
+	// refused.
+	for _, old := range []uint64{goldenFingerprintPaired, goldenFingerprintFullScans, goldenFingerprintWideChunks} {
 		opts := robustOpts()
 		opts.Checkpoint, opts.MaxK = filepath.Join(t.TempDir(), "old.ckpt"), 2
 		if _, _, err := Mine(d, opts); err != nil {
@@ -260,9 +264,12 @@ func TestPairPassResume(t *testing.T) {
 // one kept, whose partitions and stealing chunks cover its rows only. The
 // full scans before it gave 1,033,990 at P=1 (k=4..7: 128,325, 30,743,
 // 21,681, 18,332) and 519,337, 517,707 and 521,547 at P=4 (block,
-// workload, stealing). Stealing's P=4 k=4 and k=5 rose (35,654 → 38,481,
-// 8,726 → 12,262): a residue of a few hundred rows fills only one or two
-// 256-row chunks, so one processor counts most of the pass.
+// workload, stealing). On the source's 256-row grid, stealing's P=4 k=4
+// and k=5 rose (35,654 → 38,481, 8,726 → 12,262): a residue of a few
+// hundred rows filled only one or two chunks, so one processor counted
+// most of the pass. A residue pass now cuts its grid with sched.ChunkFor,
+// which took k=4..6 from 38,481, 12,262 and 2,809 to 29,309, 3,445 and
+// 1,162, and the total from 520,492 to 500,856.
 func TestModelTimePinnedProject(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
@@ -283,7 +290,7 @@ func TestModelTimePinnedProject(t *testing.T) {
 		},
 		PartitionStealing: {
 			1: {963746, []int64{20873, 442243, 371793, 113010, 12654, 2911, 262, 0}},
-			4: {520492, []int64{6115, 360122, 100446, 38481, 12262, 2809, 257, 0}},
+			4: {500856, []int64{6115, 360122, 100446, 29309, 3445, 1162, 257, 0}},
 		},
 	}
 	for part, byProcs := range want {

@@ -2,6 +2,7 @@ package seg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -142,6 +143,25 @@ func (p *Pipeline) ForEach(ctx context.Context, fn func(seg int, d *db.Database)
 	}
 	if err == nil {
 		p.stats.Passes++
+	}
+	return err
+}
+
+// EachSegment runs one pass of fn over a source a segment at a time,
+// passing each segment's index and global transaction offset. An in-RAM
+// database d is the single segment −1 at offset 0; with d nil, pipe streams
+// its store. A pass canceled between segments returns nil: the caller's
+// context check then discards the partial pass, as it does an interrupted
+// in-RAM pass.
+func EachSegment(ctx context.Context, d *db.Database, pipe *Pipeline, fn func(si, base int, sd *db.Database) error) error {
+	if d != nil {
+		return fn(-1, 0, d)
+	}
+	err := pipe.ForEach(ctx, func(si int, sd *db.Database) error {
+		return fn(si, int(pipe.r.Segment(si).TxOff), sd) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction offset converts losslessly
+	})
+	if err != nil && errors.Is(err, ctx.Err()) {
+		return nil
 	}
 	return err
 }

@@ -70,7 +70,9 @@ type Spec struct {
 	// Checkpoint enables per-iteration snapshots on engines with Caps.Checkpoint.
 	Checkpoint string
 	// MemBudget caps resident decoded-segment bytes on the segmented path
-	// (0 = double-buffered prefetch).
+	// (0 = double-buffered prefetch). vbit's resident columns sit outside
+	// the pipeline's share, so its segmented path refuses a store whose
+	// projected columns exceed a set budget (ErrOverBudget).
 	MemBudget int64
 }
 
@@ -107,12 +109,11 @@ type Stats struct {
 	Count      time.Duration
 
 	// Exactly one of the following is non-nil for engines that expose a
-	// detailed model; all may be nil (seq, eclat).
-	CCPD          *ccpd.Stats
-	VBit          *vbit.Stats
-	VBitSegmented *vbit.SegmentedStats
+	// detailed model; both may be nil (seq, eclat).
+	CCPD *ccpd.Stats
+	VBit *vbit.Stats
 	// Pipeline is the out-of-core prefetch accounting when the run was
-	// segmented (also reachable through CCPD/VBitSegmented).
+	// segmented (also reachable through CCPD or VBit).
 	Pipeline *seg.PipelineStats
 }
 
@@ -279,8 +280,9 @@ func (eclatMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori
 	return res, &Stats{EngineName: "eclat", Total: time.Since(t0)}, nil
 }
 
-// vbitMiner is the word-parallel TID-bitmap dEclat engine, with the
-// level-wise segmented out-of-core path.
+// vbitMiner is the word-parallel TID-bitmap dEclat engine. Its segmented
+// out-of-core path runs the in-RAM pipeline over the store's segments and
+// keeps the columns resident.
 type vbitMiner struct{}
 
 func (vbitMiner) Name() string { return "vbit" }
@@ -292,27 +294,35 @@ func (m vbitMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error)
 }
 func (vbitMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	res, st, err := vbit.MineCtx(ctx, d, s.vbitOptions())
-	if st == nil {
-		return res, nil, err
-	}
-	return res, &Stats{EngineName: "vbit", Total: st.Total, Count: st.Count, VBit: st}, err
+	return res, vbitStats(st), err
 }
+
+// MineSegmented refuses, before loading a segment, a store whose projected
+// columns (VBitArenaBytes, the planner's budget veto) exceed a set budget.
 func (vbitMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apriori.Result, *Stats, error) {
+	if b := VBitArenaBytes(storeInfo(r)); s.MemBudget > 0 && b > s.MemBudget {
+		return nil, nil, fmt.Errorf("engine: vbit: %w: the store's columns and one segment project to %d B against %d B; ccpd mines within it", ErrOverBudget, b, s.MemBudget)
+	}
 	res, st, err := vbit.MineSegmentedCtx(ctx, r, vbit.SegmentedOptions{
 		Options: s.vbitOptions(), MemBudget: s.MemBudget,
 	})
+	return res, vbitStats(st), err
+}
+
+func vbitStats(st *vbit.Stats) *Stats {
 	if st == nil {
-		return res, nil, err
+		return nil
 	}
-	return res, &Stats{
-		EngineName: "vbit", Total: st.Total,
-		VBitSegmented: st, Pipeline: &st.Pipeline,
-	}, err
+	return &Stats{EngineName: "vbit", Total: st.Total, Count: st.Count, VBit: st, Pipeline: st.OutOfCore}
 }
 
 // ErrNoOutOfCore is returned by Dispatch, wrapped with the engine's name,
 // when a segmented reader meets an engine without an out-of-core path.
 var ErrNoOutOfCore = errors.New("no out-of-core path")
+
+// ErrOverBudget is returned, wrapped, by the vbit engine's out-of-core path
+// for a store whose resident columns would exceed Spec.MemBudget.
+var ErrOverBudget = errors.New("columns exceed the memory budget")
 
 // Dispatch looks up name and runs the spec against the given source: an
 // in-memory database, or a segmented reader for engines with an out-of-core

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -113,6 +114,61 @@ func TestDispatch(t *testing.T) {
 	}
 	if _, _, err := Dispatch(context.Background(), "eclat", nil, r, spec); err == nil {
 		t.Error("eclat has no out-of-core path; segmented dispatch should fail")
+	}
+}
+
+// TestVBitStoreBudget: vbit's out-of-core path keeps a store's columns
+// resident, so it refuses, with ErrOverBudget, a store whose projection
+// exceeds the budget, and mines one that fits it exactly. The planner's veto
+// draws the same line.
+func TestVBitStoreBudget(t *testing.T) {
+	d, err := gen.Generate(gen.Params{N: 60, L: 15, I: 3, T: 6, D: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "d.arseg")
+	if err := seg.WriteDatabase(path, d, seg.WriterOptions{SegTx: 100}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := seg.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	info, err := CharacterizeReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	need := VBitArenaBytes(info)
+	if need <= info.MaxSegmentBytes {
+		t.Fatalf("projection %d B holds no column", need)
+	}
+	spec := Spec{Mining: apriori.Options{MinSupport: 0.02, ShortCircuit: true}, Procs: 2}
+	want, err := apriori.Mine(d, spec.Mining)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{need - 1, need} {
+		spec.MemBudget = budget
+		res, st, err := Dispatch(context.Background(), "vbit", nil, r, spec)
+		fits := budget >= need
+		if fits {
+			if err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
+			}
+			assertSameResult(t, "vbit/segmented", res, want)
+			if st.VBit == nil || st.Pipeline == nil || st.Pipeline != st.VBit.OutOfCore {
+				t.Errorf("budget %d: stats not normalized: %+v", budget, st)
+			}
+		} else if !errors.Is(err, ErrOverBudget) || res != nil {
+			t.Errorf("budget %d of %d needed: err = %v, want ErrOverBudget", budget, need, err)
+		}
+		plan := Planner{Procs: 2, MemBudget: budget}.Plan(info)
+		for _, e := range plan.Estimates {
+			if e.Engine == "vbit" && e.Feasible != fits {
+				t.Errorf("budget %d of %d needed: planner marks vbit feasible=%v", budget, need, e.Feasible)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ccpd"
 	"repro/internal/db"
@@ -37,7 +38,6 @@ type DBInfo struct {
 	// Segmented geometry (zero for in-RAM databases).
 	Segmented       bool
 	NumSegments     int
-	MaxSegmentTx    int
 	MaxSegmentBytes int64
 }
 
@@ -71,26 +71,7 @@ func Characterize(d *db.Database) DBInfo {
 // generator plants its heavy tail at the end of the transaction stream, so
 // sampling only the head (the old bug) reads a skewed store as uniform.
 func CharacterizeReader(r *seg.Reader) (DBInfo, error) {
-	info := DBInfo{
-		Segmented:       true,
-		NumSegments:     r.NumSegments(),
-		MaxSegmentBytes: r.MaxSegmentBytes(),
-		TotalItems:      r.TotalItems(),
-	}
-	info.Transactions = int(r.NumTx()) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
-	info.NumItems = r.NumItems()
-	if n := r.NumTx(); n > 0 {
-		info.AvgLen = float64(r.TotalItems()) / float64(n)
-	}
-	if info.NumItems > 0 {
-		info.Density = info.AvgLen / float64(info.NumItems)
-	}
-	for i := 0; i < r.NumSegments(); i++ {
-		if tx := int(r.Segment(i).NumTx); tx > info.MaxSegmentTx {
-			info.MaxSegmentTx = tx
-		}
-	}
-
+	info := storeInfo(r)
 	samples := []int{0}
 	if last := r.NumSegments() - 1; last > 0 {
 		samples = append(samples, last)
@@ -122,6 +103,26 @@ func CharacterizeReader(r *seg.Reader) (DBInfo, error) {
 	return info, nil
 }
 
+// storeInfo is a store's DBInfo without the skew terms: header and
+// directory reads only, no segment load.
+func storeInfo(r *seg.Reader) DBInfo {
+	info := DBInfo{
+		Segmented:       true,
+		NumSegments:     r.NumSegments(),
+		MaxSegmentBytes: r.MaxSegmentBytes(),
+		TotalItems:      r.TotalItems(),
+	}
+	info.Transactions = int(r.NumTx()) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
+	info.NumItems = r.NumItems()
+	if n := r.NumTx(); n > 0 {
+		info.AvgLen = float64(r.TotalItems()) / float64(n)
+	}
+	if info.NumItems > 0 {
+		info.Density = info.AvgLen / float64(info.NumItems)
+	}
+	return info
+}
+
 // Estimate is one candidate engine's projected cost and memory footprint —
 // recorded in the Plan so a selection is auditable (and pinnable in tests)
 // rather than an opaque verdict.
@@ -135,7 +136,8 @@ type Estimate struct {
 	// horizontal engine's streaming residency).
 	ArenaBytes int64
 	// Feasible is false when ArenaBytes exceeds the memory budget, or, for
-	// vbit, when the database has no item occurrences to lay out.
+	// vbit, when the database has no item occurrences to lay out or more
+	// transactions than int32 tids address.
 	Feasible bool
 	Note     string
 }
@@ -195,23 +197,23 @@ func (pl Planner) withDefaults() Planner {
 // that planning stays trivially cheap.
 const modelChunks = 64
 
-// VBitArenaBytes projects the vertical engine's column-arena footprint from
-// aggregate statistics under the uniform-density assumption the layout's
-// own per-item rule refines at runtime: when the density clears the bitmap
-// cutoff every column materializes as a ⌈D/64⌉-word bitmap, otherwise every
-// column is a 4-byte-per-tid tidlist. txCount is the transaction span one
-// layout covers — the whole database in RAM, one segment on the level-wise
-// out-of-core path.
-func VBitArenaBytes(info DBInfo, txCount int) int64 {
-	if txCount <= 0 {
+// VBitArenaBytes projects the vertical engine's resident footprint from
+// aggregate statistics: its columns, plus one decoded segment for a store,
+// whose columns are resident too. The columns follow the uniform-density
+// assumption the layout's own per-item rule refines at runtime: when the
+// density clears the bitmap cutoff every column materializes as a
+// ⌈D/64⌉-word bitmap, otherwise every column is a 4-byte-per-tid tidlist.
+// It reads no segment, so the vbit engine's out-of-core path checks a
+// store against its budget with it before mining, as the planner does.
+func VBitArenaBytes(info DBInfo) int64 {
+	if info.Transactions <= 0 {
 		return 0
 	}
-	scale := float64(txCount) / float64(max(1, info.Transactions))
 	if info.Density >= vbit.DefaultDensityCutoff {
-		words := int64(txCount+63) / 64
-		return int64(info.NumItems) * words * 8
+		words := int64(info.Transactions+63) / 64
+		return int64(info.NumItems)*words*8 + info.MaxSegmentBytes
 	}
-	return int64(float64(info.TotalItems)*scale) * 4
+	return info.TotalItems*4 + info.MaxSegmentBytes
 }
 
 // Plan picks the engine, partition mode and chunk size for a database.
@@ -228,8 +230,9 @@ func VBitArenaBytes(info DBInfo, txCount int) int64 {
 // it — recorded as comparable numbers, and the memory budget can veto a
 // winner: when the vertical arena projection exceeds the budget the plan
 // falls back to the (segmented) streaming CCPD engine, which counts through
-// a bounded hash tree regardless of store size. A database with no item
-// occurrences plans ccpd, whose scan trivially no-ops.
+// a bounded hash tree regardless of store size. So does a database of more
+// than 2³¹−1 transactions, past the columns' int32 tids. A database with no
+// item occurrences plans ccpd, whose scan trivially no-ops.
 //
 // The partition choice schedules a synthetic chunk-work vector — uniform
 // work with the measured tail mass concentrated in the trailing TailTx
@@ -254,20 +257,17 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	if feasibleV {
 		vcost = int64(float64(hcost) * (vbit.DefaultCrossoverDensity / info.Density))
 	}
-	vtx := info.Transactions
-	vnote := "materializes every column in RAM"
-	if info.Segmented {
-		vtx = info.MaxSegmentTx
-		vnote = "materializes one segment's columns per pass (level-wise)"
-	}
 	vbitEst := Estimate{
-		Engine: "vbit", Cost: vcost,
-		ArenaBytes: VBitArenaBytes(info, vtx) + info.MaxSegmentBytes,
-		Feasible:   feasibleV, Note: vnote,
+		Engine: "vbit", Cost: vcost, ArenaBytes: VBitArenaBytes(info),
+		Feasible: feasibleV, Note: "materializes every column in RAM",
 	}
-	if !feasibleV {
+	switch {
+	case !feasibleV:
 		vbitEst.Note = "database has no item occurrences"
-	} else if pl.MemBudget > 0 && vbitEst.ArenaBytes > pl.MemBudget {
+	case info.Transactions > math.MaxInt32:
+		vbitEst.Feasible = false
+		vbitEst.Note = fmt.Sprintf("%d transactions overflow the columns' int32 tids", info.Transactions)
+	case pl.MemBudget > 0 && vbitEst.ArenaBytes > pl.MemBudget:
 		vbitEst.Feasible = false
 		vbitEst.Note = fmt.Sprintf("arena projection %d B exceeds budget %d B", vbitEst.ArenaBytes, pl.MemBudget)
 	}
@@ -295,7 +295,7 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	if info.TailMass >= tailMassThreshold &&
 		float64(p.DynamicModel) < 0.95*float64(p.BlockModel) {
 		p.DBPart = ccpd.PartitionStealing
-		p.ChunkSize = clampInt(info.Transactions/(pl.Procs*16), 16, 256)
+		p.ChunkSize = sched.ChunkFor(info.Transactions, pl.Procs, 256)
 		p.Reason += fmt.Sprintf("; tail mass %.2f -> stealing (model %d vs block %d)",
 			info.TailMass, p.DynamicModel, p.BlockModel)
 	}
@@ -356,14 +356,4 @@ func maxLoad(loads []int64) int64 {
 		}
 	}
 	return m
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -120,8 +120,8 @@ func TestPlannerCrossoverAndEmpty(t *testing.T) {
 }
 
 // TestPlannerSegmented pins the segmented decisions: with exact whole-store
-// statistics a dense store plans vbit when the budget fits its per-segment
-// arena, and any store falls back to the streaming ccpd engine when the
+// statistics a dense store plans vbit when the budget fits its resident
+// columns, and any store falls back to the streaming ccpd engine when the
 // budget cannot hold the vertical arena. The old selector read only segment
 // 0 and never looked at the budget at all.
 func TestPlannerSegmented(t *testing.T) {
@@ -155,7 +155,7 @@ func TestPlannerSegmented(t *testing.T) {
 	if plan := (Planner{Procs: 4}).Plan(info); plan.Engine != "vbit" {
 		t.Errorf("dense segmented, no budget: engine %s, want vbit (%s)", plan.Engine, plan.Reason)
 	}
-	// A generous budget still fits the per-segment arena: stays vbit.
+	// A generous budget still fits the columns: stays vbit.
 	if plan := (Planner{Procs: 4, MemBudget: 64 << 20}).Plan(info); plan.Engine != "vbit" {
 		t.Errorf("dense segmented, 64M budget: engine %s, want vbit (%s)", plan.Engine, plan.Reason)
 	}
@@ -212,20 +212,43 @@ func TestPlannerSkewSampling(t *testing.T) {
 }
 
 // TestVBitArenaBytes pins the arena projection's two regimes against the
-// layout's real materialization rule.
+// layout's real materialization rule, and a store's extra decoded segment.
 func TestVBitArenaBytes(t *testing.T) {
 	dense := DBInfo{DBStats: vbit.DBStats{Transactions: 6400, NumItems: 100, AvgLen: 12, Density: 0.12}, TotalItems: 6400 * 12}
 	// 6400 tx → 100 words of 8 bytes per bitmap, 100 items.
-	if got, want := VBitArenaBytes(dense, 6400), int64(100*100*8); got != want {
+	if got, want := VBitArenaBytes(dense), int64(100*100*8); got != want {
 		t.Errorf("dense arena = %d, want %d", got, want)
 	}
 	sparse := DBInfo{DBStats: vbit.DBStats{Transactions: 6400, NumItems: 100000, AvgLen: 10, Density: 0.0001}, TotalItems: 64000}
-	if got, want := VBitArenaBytes(sparse, 6400), int64(64000*4); got != want {
+	if got, want := VBitArenaBytes(sparse), int64(64000*4); got != want {
 		t.Errorf("sparse arena = %d, want %d", got, want)
 	}
-	// Segment-scaled: a quarter of the transactions projects a quarter of
-	// the tidlist arena.
-	if got, want := VBitArenaBytes(sparse, 1600), int64(16000*4); got != want {
-		t.Errorf("scaled sparse arena = %d, want %d", got, want)
+	// CI's out-of-core smoke store, T10.I4.D2000 in 256-row segments:
+	// 79,492 B of tidlists plus one 13,760 B segment.
+	smoke := DBInfo{
+		DBStats:    vbit.DBStats{Transactions: 2000, NumItems: 1000, AvgLen: 9.9365, Density: 0.0099365},
+		TotalItems: 19873, Segmented: true, NumSegments: 8, MaxSegmentBytes: 13760,
 	}
+	if got := VBitArenaBytes(smoke); got != 93252 {
+		t.Errorf("smoke store = %d B, want 93252", got)
+	}
+}
+
+// TestPlannerInt32Tids: vbit's columns hold int32 tids, so a database of
+// 2³¹ transactions plans ccpd, with vbit infeasible whatever the budget.
+func TestPlannerInt32Tids(t *testing.T) {
+	info := DBInfo{
+		DBStats:    vbit.DBStats{Transactions: 1 << 31, NumItems: 60, AvgLen: 12, Density: 0.2},
+		TotalItems: 12 << 31, Segmented: true, NumSegments: 1 << 15, MaxSegmentBytes: 4 << 20,
+	}
+	plan := Planner{Procs: 4}.Plan(info)
+	if plan.Engine != "ccpd" {
+		t.Errorf("2³¹ transactions: engine %s, want ccpd (%s)", plan.Engine, plan.Reason)
+	}
+	for _, e := range plan.Estimates {
+		if e.Engine == "vbit" && (e.Feasible || !strings.Contains(e.Note, "int32")) {
+			t.Errorf("2³¹ transactions: vbit estimate feasible=%v (%s)", e.Feasible, e.Note)
+		}
+	}
+	assertJustified(t, "int32-tids", plan)
 }

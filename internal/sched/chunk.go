@@ -14,14 +14,28 @@ func NumChunks(n, size int) int {
 	return (n + size - 1) / size
 }
 
-// ChunkRange returns the half-open item range [lo, hi) of chunk c.
-func ChunkRange(n, size, c int) (lo, hi int) {
-	lo = c * size
-	hi = lo + size
-	if hi > n {
-		hi = n
+// ChunkSpan returns the ids [cLo, cHi) of the chunks of a size-row grid
+// over a pass's rows that overlap rows [base, end), one segment's share.
+func ChunkSpan(base, end, size int) (cLo, cHi int) {
+	if end <= base {
+		return 0, 0
 	}
-	return lo, hi
+	return base / size, (end + size - 1) / size
+}
+
+// ChunkRange returns chunk c's rows that fall in the segment of rows
+// [base, end), as the half-open range [lo, hi) of indexes into the segment.
+// A chunk straddling a segment edge is counted in two pieces, one per
+// segment.
+func ChunkRange(c, size, base, end int) (lo, hi int) {
+	return max(c*size, base) - base, min((c+1)*size, end) - base
+}
+
+// ChunkFor is the chunk size for a pass of rows transactions over procs
+// workers: about 16 chunks a worker, at least 16 rows and at most limit
+// rows each, so a short pass still reaches every worker's deque.
+func ChunkFor(rows, procs, limit int) int {
+	return min(limit, max(16, rows/(16*procs)))
 }
 
 // Cursor hands out chunk indices [0, n) to concurrent claimants, each

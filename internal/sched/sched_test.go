@@ -61,7 +61,7 @@ func TestChunkMath(t *testing.T) {
 	n, size := 1000, 256
 	pos := 0
 	for c := 0; c < NumChunks(n, size); c++ {
-		lo, hi := ChunkRange(n, size, c)
+		lo, hi := ChunkRange(c, size, 0, n)
 		if lo != pos || hi <= lo || hi > n {
 			t.Fatalf("chunk %d = [%d,%d), expected lo=%d", c, lo, hi, pos)
 		}
@@ -69,6 +69,19 @@ func TestChunkMath(t *testing.T) {
 	}
 	if pos != n {
 		t.Errorf("chunks cover %d of %d", pos, n)
+	}
+	// A segment [300, 700) overlaps chunks 1 and 2, clipped to its rows.
+	if cLo, cHi := ChunkSpan(300, 700, size); cLo != 1 || cHi != 3 {
+		t.Errorf("ChunkSpan(300,700,256) = [%d,%d), want [1,3)", cLo, cHi)
+	}
+	if lo, hi := ChunkRange(1, size, 300, 700); lo != 0 || hi != 212 {
+		t.Errorf("chunk 1 in segment [300,700) = [%d,%d), want [0,212)", lo, hi)
+	}
+	// About 16 chunks a worker, between 16 rows and the limit.
+	for _, c := range []struct{ rows, procs, want int }{{400, 4, 16}, {2000, 4, 31}, {200000, 4, 256}} {
+		if got := ChunkFor(c.rows, c.procs, 256); got != c.want {
+			t.Errorf("ChunkFor(%d, %d, 256) = %d, want %d", c.rows, c.procs, got, c.want)
+		}
 	}
 }
 

@@ -104,13 +104,6 @@ func releaseTriangles(tris [][]int32) {
 // NewLayout materializes the vertical layout for every item that occurs at
 // least once, using the default density cutoff when cutoff <= 0.
 func NewLayout(d *db.Database, cutoff float64) *Layout {
-	return Materialize(d, cutoff, 1)
-}
-
-// Materialize counts item supports and builds the vertical layout, storing
-// columns only for items with support >= minCount (the engine never probes
-// an infrequent column, so materializing it would be wasted arena).
-func Materialize(d *db.Database, cutoff float64, minCount int64) *Layout {
 	sups := make([]int64, d.NumItems())
 	//armlint:allow ctxpoll single bounded support-count pass over the database; cancellation is observed at the next phase boundary
 	for t := 0; t < d.Len(); t++ {
@@ -118,26 +111,35 @@ func Materialize(d *db.Database, cutoff float64, minCount int64) *Layout {
 			sups[it]++
 		}
 	}
-	return FromCounts(d, cutoff, minCount, sups)
+	return FromCounts(d, cutoff, 1, sups)
 }
 
-// FromCounts builds the layout from precomputed per-item supports (the
+// FromCounts builds the layout of d from precomputed per-item supports (the
 // engine's parallel F1 phase already has them; recounting would double the
 // scan). sups must have one entry per item in [0, d.NumItems()).
 func FromCounts(d *db.Database, cutoff float64, minCount int64, sups []int64) *Layout {
+	l := newLayout(d.Len(), d.NumItems(), cutoff, minCount, sups)
+	l.fill(0, d)
+	return l
+}
+
+// newLayout sizes the columns of a layout over nTx transactions, storing
+// columns only for items with support >= minCount (the engine never probes
+// an infrequent column, so materializing it would be wasted arena). The
+// columns hold no tid until fill has written every transaction.
+func newLayout(nTx, numItems int, cutoff float64, minCount int64, sups []int64) *Layout {
 	if cutoff <= 0 {
 		cutoff = DefaultDensityCutoff
 	}
 	if minCount < 1 {
 		minCount = 1
 	}
-	nTx := d.Len()
 	l := &Layout{
 		NumTx:  nTx,
 		Words:  (nTx + 63) / 64,
 		Cutoff: cutoff,
 		sups:   sups,
-		sets:   make([]set, d.NumItems()),
+		sets:   make([]set, numItems),
 	}
 	// Classify columns and size the two arenas. An item is dense when its
 	// density (support / D) reaches the cutoff.
@@ -159,12 +161,13 @@ func FromCounts(d *db.Database, cutoff float64, minCount int64, sups []int64) *L
 			}
 		}
 	}
-	// The fill pass ORs bits into the word arena, so it starts zeroed; it
-	// writes every tidlist slot, so the list arena need not.
+	// The fill ORs bits into the word arena, so it starts zeroed; it
+	// writes every tidlist slot, so the list arena need not. A tidlist
+	// starts empty with its support as capacity, and the fill appends in
+	// place.
 	wordArena := getBuf[uint64](&wordPool, l.denseItems*l.Words, true)
 	listArena := getBuf[int32](&listPool, int(sparseTids), false)
 	l.wordArena, l.listArena = wordArena, listArena
-	next := make([]int32, d.NumItems()) // per-sparse-item write cursor
 	var w, off int
 	for it := range l.sets {
 		s := &l.sets[it]
@@ -174,28 +177,30 @@ func FromCounts(d *db.Database, cutoff float64, minCount int64, sups []int64) *L
 			s.words = wordArena[w*l.Words : (w+1)*l.Words]
 			w++
 		case s.card > 0:
-			s.list = listArena[off : off+int(s.card)]
-			next[it] = int32(off)
+			s.list = listArena[off : off : off+int(s.card)]
 			off += int(s.card)
 		}
 	}
-	// Fill pass: one scan over the horizontal database. Transactions are
-	// visited in ascending order, so tidlists come out sorted for free.
-	//armlint:allow ctxpoll single bounded fill pass over the database; cancellation is observed at the next phase boundary
-	for t := 0; t < nTx; t++ {
-		tid := int32(t)
-		for _, it := range d.Items(t) {
+	return l
+}
+
+// fill writes the tids of segment sd, whose first transaction has global
+// tid base, into the columns. Segments must come in ascending order, so
+// tidlists come out sorted for free.
+func (l *Layout) fill(base int, sd *db.Database) {
+	//armlint:allow ctxpoll single bounded fill over one segment; cancellation is observed between segments and at the next phase boundary
+	for t := 0; t < sd.Len(); t++ {
+		tid := int32(base + t) //armlint:narrowok a layout covers at most 2³¹−1 transactions: MineSegmentedCtx refuses larger stores
+		for _, it := range sd.Items(t) {
 			s := &l.sets[it]
 			switch {
 			case s.words != nil:
 				SetBit(s.words, tid)
 			case s.list != nil:
-				listArena[next[it]] = tid
-				next[it]++
+				s.list = append(s.list, tid)
 			}
 		}
 	}
-	return l
 }
 
 // Support returns the support of a single item (0 for items outside the
@@ -220,10 +225,3 @@ func (l *Layout) DenseItems() int { return l.denseItems }
 
 // SparseItems returns how many columns are tidlists.
 func (l *Layout) SparseItems() int { return l.sparseItems }
-
-// BuildWork returns the deterministic work units of materializing the
-// layout: the counting pass plus the fill pass each touch every item
-// occurrence once.
-func (l *Layout) BuildWork(d *db.Database) int64 {
-	return 2 * d.TotalItems() * WorkItemScan
-}

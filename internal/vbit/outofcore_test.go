@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,10 +33,13 @@ func segStore(t *testing.T, d *db.Database, wopts seg.WriterOptions) *seg.Reader
 	return r
 }
 
-// TestSegmentedMatchesInRAM: the level-wise out-of-core vertical miner must
-// reproduce both sequential Apriori and the in-RAM dEclat engine exactly —
-// same frequent sets, same supports, same MinCount — across the layout
-// spectrum and for sync (budget 1) and double-buffered (budget 0) pipelines.
+// TestSegmentedMatchesInRAM: the out-of-core vertical miner must reproduce
+// both sequential Apriori and the in-RAM engine exactly — same frequent
+// sets, same supports, same MinCount — and its work model must equal the
+// in-RAM one field by field, across the layout spectrum, with the pair pass
+// forced on and off, for sync (budget 1) and double-buffered (budget 0)
+// pipelines. The 150-row segments put bitmap words and 64-row pair chunks
+// across segment edges.
 func TestSegmentedMatchesInRAM(t *testing.T) {
 	d, err := gen.Generate(gen.Params{N: 60, L: 15, I: 3, T: 6, D: 700, Seed: 17})
 	if err != nil {
@@ -48,34 +53,44 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, _, err := Mine(d, Options{MinSupport: 0.01, Procs: 3})
-	if err != nil {
-		t.Fatal(err)
+	// model keeps the work-model fields, dropping walls and pipeline stats.
+	model := func(s *Stats) Stats {
+		return Stats{
+			Procs: s.Procs, Classes: s.Classes, DenseItems: s.DenseItems, SparseItems: s.SparseItems,
+			F1Work: s.F1Work, BuildWork: s.BuildWork, PairWork: s.PairWork, ClassWork: s.ClassWork,
+			CountWork: s.CountWork, ReduceWork: s.ReduceWork,
+		}
 	}
-	sameResult(t, "in-RAM-vbit", vres, want)
 	cutoffs := map[string]float64{"mixed-layout": 0, "all-bitmap": 1e-9, "all-tidlist": 1.5}
 	for cn, cutoff := range cutoffs {
-		for _, budget := range []int64{1, 0} {
-			res, stats, err := MineSegmented(r, SegmentedOptions{
-				Options:   Options{MinSupport: 0.01, Procs: 3, DensityCutoff: cutoff},
-				MemBudget: budget,
-			})
+		for _, force := range []int8{1, -1} {
+			opts := Options{MinSupport: 0.01, Procs: 3, DensityCutoff: cutoff, ChunkStride: 64, forcePairs: force}
+			vres, vst, err := Mine(d, opts)
 			if err != nil {
-				t.Fatalf("%s budget %d: %v", cn, budget, err)
+				t.Fatal(err)
 			}
-			sameResult(t, cn, res, want)
-			if res.MinCount != want.MinCount {
-				t.Errorf("%s: MinCount %d != %d", cn, res.MinCount, want.MinCount)
-			}
-			if stats.Pipeline.Segments == 0 || stats.Levels < 2 {
-				t.Errorf("%s budget %d: implausible stats %+v", cn, budget, stats)
-			}
-			if budget == 0 && !stats.Pipeline.Overlapped {
-				t.Errorf("%s: default budget should double-buffer", cn)
-			}
-			// One streaming pass per mined level plus the candidate-free tail.
-			if stats.Pipeline.Passes < stats.Levels {
-				t.Errorf("%s: %d passes for %d levels", cn, stats.Pipeline.Passes, stats.Levels)
+			sameResult(t, "in-RAM "+cn, vres, want)
+			for _, budget := range []int64{1, 0} {
+				label := fmt.Sprintf("%s pairs=%d budget=%d", cn, force, budget)
+				res, stats, err := MineSegmented(r, SegmentedOptions{Options: opts, MemBudget: budget})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameResult(t, label, res, want)
+				if res.MinCount != want.MinCount {
+					t.Errorf("%s: MinCount %d != %d", label, res.MinCount, want.MinCount)
+				}
+				if got, w := model(stats), model(vst); !reflect.DeepEqual(got, w) {
+					t.Errorf("%s: work model\n got %+v\nwant %+v", label, got, w)
+				}
+				// F1, the fill and, when it runs, the pair pass.
+				p := stats.OutOfCore
+				passes := 2 + int(max(force, 0))
+				if p == nil || p.Passes != passes || p.Segments != passes*r.NumSegments() {
+					t.Errorf("%s: pipeline %+v, want %d passes over %d segments", label, p, passes, r.NumSegments())
+				} else if budget == 0 && !p.Overlapped {
+					t.Errorf("%s: default budget should double-buffer", label)
+				}
 			}
 		}
 	}
@@ -83,7 +98,8 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 
 // TestSegmentedBeyondArenaLimit mines a store whose item arena exceeds the
 // (test-lowered) single-arena ceiling — impossible to load in RAM — and must
-// match the reference mined before the limit dropped.
+// match the reference mined before the limit dropped, loading each segment
+// once per horizontal pass: two or three passes, however deep the mine.
 func TestSegmentedBeyondArenaLimit(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
@@ -109,9 +125,9 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "beyond-arena", res, want)
-	if stats.Pipeline.Segments < stats.Levels*r.NumSegments() {
-		t.Errorf("pipeline saw %d segment visits for %d levels x %d segments",
-			stats.Pipeline.Segments, stats.Levels, r.NumSegments())
+	if p := stats.OutOfCore; p.Passes < 2 || p.Passes > 3 || p.Segments != p.Passes*r.NumSegments() {
+		t.Errorf("pipeline loaded %d segments over %d passes, want 2 or 3 passes of %d segments (mined to k=%d)",
+			p.Segments, p.Passes, r.NumSegments(), len(res.ByK)-1)
 	}
 }
 
@@ -171,6 +187,22 @@ func TestSegmentedCancellation(t *testing.T) {
 	// levels survive in the partial result.
 	if err != nil && res != nil && len(res.ByK) > 1 && len(res.ByK[1]) == 0 {
 		t.Error("partial result present but empty at k=1")
+	}
+	// A deadline is a cancellation too: whichever pass it lands in, the
+	// run returns a CanceledError, with F1 once that phase has completed.
+	for _, ms := range []int{3, 9, 15} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(ms)*time.Millisecond)
+		res, _, err := MineSegmentedCtx(ctx, r, SegmentedOptions{
+			Options:   Options{MinSupport: 0.005, Procs: 2},
+			LoadDelay: 2 * time.Millisecond,
+		})
+		cancel()
+		if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%d ms deadline: err = %v, want a CanceledError over DeadlineExceeded", ms, err)
+		}
+		if ce.Phase != "f1" && (res == nil || len(res.ByK[1]) == 0) {
+			t.Errorf("%d ms deadline in phase %s: partial result %v lacks F1", ms, ce.Phase, res)
+		}
 	}
 	// The reader must be reusable after an aborted pass.
 	if _, _, err := MineSegmented(r, SegmentedOptions{Options: Options{MinSupport: 0.01, Procs: 2}}); err != nil {

@@ -62,7 +62,7 @@ func TestPairTriangleMatchesDiffsets(t *testing.T) {
 	}
 	const minCount = 20
 	f1 := apriori.FrequentOne(d, minCount)
-	lay := Materialize(d, 0, minCount)
+	lay := layoutAt(d, 0, minCount)
 	heads := make([]head, len(f1))
 	for i, f := range f1 {
 		heads[i] = head{item: f.Items[0], sup: f.Count, s: lay.sets[f.Items[0]]}
@@ -70,7 +70,7 @@ func TestPairTriangleMatchesDiffsets(t *testing.T) {
 	pool := sched.NewPool(3)
 	defer pool.Close()
 	pc := apriori.NewPairCount(f1, d.NumItems())
-	tris, _, err := pairPass(context.Background(), d, pc, pool, 50, nil)
+	tris, _, err := pairPass(context.Background(), inRAM(d), pc, pool, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

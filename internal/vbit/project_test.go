@@ -97,13 +97,24 @@ func frameDB(rng *rand.Rand, d int, sups []int, extra int) *db.Database {
 	return out
 }
 
+// layoutAt materializes d's columns for the items of support >= minCount.
+func layoutAt(d *db.Database, cutoff float64, minCount int64) *Layout {
+	sups := make([]int64, d.NumItems())
+	for i := 0; i < d.Len(); i++ {
+		for _, it := range d.Items(i) {
+			sups[it]++
+		}
+	}
+	return FromCounts(d, cutoff, minCount, sups)
+}
+
 // projectedClasses counts the classes the projection rule sends into a
 // frame narrower than the layout, with the pair pass's triangle when pairs
 // is set, and how many of their level-2 children start there as tidlists.
 func projectedClasses(t *testing.T, d *db.Database, cutoff float64, minCount int64, pairs bool) (classes, listKids int) {
 	t.Helper()
 	f1 := apriori.FrequentOne(d, minCount)
-	lay := Materialize(d, cutoff, minCount)
+	lay := layoutAt(d, cutoff, minCount)
 	heads := make([]head, len(f1))
 	for i, f := range f1 {
 		heads[i] = head{item: f.Items[0], sup: f.Count, s: lay.sets[f.Items[0]]}
@@ -113,7 +124,7 @@ func projectedClasses(t *testing.T, d *db.Database, cutoff float64, minCount int
 		pool := sched.NewPool(1)
 		defer pool.Close()
 		tk.pc = apriori.NewPairCount(f1, d.NumItems())
-		tris, _, err := pairPass(context.Background(), d, tk.pc, pool, 64, nil)
+		tris, _, err := pairPass(context.Background(), inRAM(d), tk.pc, pool, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

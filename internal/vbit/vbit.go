@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apriori"
 	"repro/internal/db"
+	"repro/internal/db/seg"
 	"repro/internal/itemset"
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -87,6 +88,11 @@ type Stats struct {
 	Total time.Duration // wall clock, whole run
 	Count time.Duration // wall clock, class-DFS phase
 	Pairs time.Duration // wall clock, pair pass (count + reduce)
+
+	// OutOfCore carries the segment pipeline's accounting (loads, stalls,
+	// prefetch overlap) when the run was mined from a segmented store via
+	// MineSegmented; nil for in-RAM runs.
+	OutOfCore *seg.PipelineStats
 }
 
 // TotalWork sums every modelled work unit across processors.
@@ -149,12 +155,34 @@ func annotate(err error, phase string, k int) error {
 //
 //armlint:cancellable
 func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
+	return mine(ctx, inRAM(d), opts)
+}
+
+// source is what a mine's horizontal passes read: an in-RAM database, or a
+// segmented store streamed through its pipeline (seg.EachSegment).
+type source struct {
+	d          *db.Database  // in-RAM database; nil for a store
+	pipe       *seg.Pipeline // the store's pipeline; nil in RAM
+	numTx      int
+	numItems   int
+	totalItems int64
+}
+
+// inRAM is the source over an in-RAM database.
+func inRAM(d *db.Database) source {
+	return source{d: d, numTx: d.Len(), numItems: d.NumItems(), totalItems: d.TotalItems()}
+}
+
+// mine is the whole run, shared by MineCtx and MineSegmentedCtx: the F1
+// scan, the column fill and the pair pass read the source, and every later
+// phase reads the columns only.
+func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.withDefaults()
 	start := time.Now() //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
-	minCount := apriori.Options{MinSupport: opts.MinSupport, AbsSupport: opts.AbsSupport}.MinCount(d.Len())
+	minCount := apriori.Options{MinSupport: opts.MinSupport, AbsSupport: opts.AbsSupport}.MinCount(src.numTx)
 	rec := opts.Obs
 	res := &apriori.Result{MinCount: minCount, ByK: make([][]apriori.FrequentItemset, 2)}
 	stats := &Stats{Procs: opts.Procs}
@@ -176,7 +204,7 @@ func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result
 	// Phase 1: parallel item counting (block partition, private arrays).
 	rec.SetPhase(obs.PhaseF1, 1)
 	rec.BeginPhase(obs.PhaseF1, 1)
-	sups, f1work, pairBound, err := countItems(ctx, d, pool, opts.ChunkStride)
+	sups, f1work, pairBound, err := countItems(ctx, src, pool, opts.ChunkStride)
 	rec.EndPhase(obs.PhaseF1, 1)
 	if err != nil {
 		return nil, nil, annotate(err, "f1", 1)
@@ -191,23 +219,34 @@ func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result
 			res.ByK[1] = append(res.ByK[1], apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
 		}
 	}
-	rec.IterStats(1, d.NumItems(), len(res.ByK[1]))
+	rec.IterStats(1, src.numItems, len(res.ByK[1]))
 	if opts.MaxK == 1 || len(res.ByK[1]) < 2 {
 		stats.Total = time.Since(start) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
 		return res, stats, nil
 	}
 
 	// Phase 2: materialize the vertical layout (serial fill; the counting
-	// half of the build already ran in parallel above).
+	// half of the build already ran in parallel above). Tids are global, so
+	// a store's columns are the in-RAM ones.
 	if err := robust.Canceled(ctx, "build", 2); err != nil {
 		return res, stats, err
 	}
 	rec.SetPhase(obs.PhaseTreeBuild, 2)
 	rec.BeginPhase(obs.PhaseTreeBuild, 2)
-	lay := FromCounts(d, opts.DensityCutoff, minCount, sups)
+	lay := newLayout(src.numTx, src.numItems, opts.DensityCutoff, minCount, sups)
 	defer lay.release()
+	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
+		lay.fill(base, sd)
+		return nil
+	})
 	rec.EndPhase(obs.PhaseTreeBuild, 2)
-	stats.BuildWork = d.TotalItems() * WorkItemScan
+	if err != nil {
+		return nil, nil, annotate(err, "build", 2)
+	}
+	if err := robust.Canceled(ctx, "build", 2); err != nil {
+		return res, stats, err
+	}
+	stats.BuildWork = src.totalItems * WorkItemScan
 	stats.DenseItems = lay.denseItems
 	stats.SparseItems = lay.sparseItems
 
@@ -226,8 +265,8 @@ func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result
 		rec.SetPhase(obs.PhasePairs, 2)
 		rec.BeginPhase(obs.PhasePairs, 2)
 		tPairs := time.Now() //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
-		pc = apriori.NewPairCount(res.ByK[1], d.NumItems())
-		tris, work, err := pairPass(ctx, d, pc, pool, opts.ChunkStride, rec)
+		pc = apriori.NewPairCount(res.ByK[1], src.numItems)
+		tris, work, err := pairPass(ctx, src, pc, pool, opts.ChunkStride, rec)
 		defer releaseTriangles(tris)
 		rec.EndPhase(obs.PhasePairs, 2)
 		stats.Pairs = time.Since(tPairs) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
@@ -311,39 +350,44 @@ func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result
 	return res, stats, nil
 }
 
-// countItems is the parallel F1 scan: block partition, per-processor
-// private count arrays, serial reduction. Returns the full per-item counts
-// (the layout build reuses them), the per-processor scan work, and
-// Σ_t C(|t|,2) — the pair pass's increment bound before F1 is known.
-func countItems(ctx context.Context, d *db.Database, pool *sched.Pool, stride int) (sums, work []int64, pairBound int64, err error) {
-	procs := pool.Procs()
+// countItems is the parallel F1 scan: each worker counts its block of the
+// source's transactions, clipped to each segment, into a private array, and
+// the reduction runs once at the end. Returns the full per-item counts (the
+// layout build reuses them), the per-processor scan work, and Σ_t C(|t|,2)
+// — the pair pass's increment bound before F1 is known.
+func countItems(ctx context.Context, src source, pool *sched.Pool, stride int) (sums, work []int64, pairBound int64, err error) {
+	procs, n := pool.Procs(), src.numTx
 	local := make([][]int64, procs)
 	work = make([]int64, procs)
 	bounds := make([]int64, procs)
-	slices := d.BlockPartition(procs)
-	err = pool.Run(func(p int) {
-		counts := make([]int64, d.NumItems())
-		var w, b int64
-		s := slices[p]
-		for i := s.Lo; i < s.Hi; i++ {
-			if (i-s.Lo)%stride == 0 && ctx.Err() != nil {
-				break
+	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
+		end := base + sd.Len()
+		return pool.Run(func(p int) {
+			if local[p] == nil {
+				local[p] = make([]int64, src.numItems)
 			}
-			items := d.Items(i)
-			w += int64(len(items)) * WorkItemScan
-			b += int64(len(items)) * int64(len(items)-1) / 2
-			for _, it := range items {
-				counts[it]++
+			counts := local[p]
+			var w, b int64
+			lo, hi := max(p*n/procs, base)-base, min((p+1)*n/procs, end)-base
+			for i := lo; i < hi; i++ {
+				if (i-lo)%stride == 0 && ctx.Err() != nil {
+					break
+				}
+				items := sd.Items(i)
+				w += int64(len(items)) * WorkItemScan
+				b += int64(len(items)) * int64(len(items)-1) / 2
+				for _, it := range items {
+					counts[it]++
+				}
 			}
-		}
-		local[p] = counts
-		work[p] = w
-		bounds[p] = b
+			work[p] += w
+			bounds[p] += b
+		})
 	})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	sums = make([]int64, d.NumItems())
+	sums = make([]int64, src.numItems)
 	for p := 0; p < procs; p++ {
 		for it, c := range local[p] {
 			sums[it] += c
@@ -383,32 +427,43 @@ func levelTwoWork(heads []head, words int) int64 {
 
 // pairPass counts every pair of frequent items into one private triangle per
 // worker and reduces them, by cell range, into tris[0]. Workers claim
-// ChunkStride-transaction chunks from a cursor (a long transaction costs
-// quadratically more, so a static split would strand work), and work[p] is
-// the greedy list-schedule of the per-chunk work — the deterministic
-// stand-in for the racy claims, as CountWork is for the classes. On
-// cancellation the counts are partial and the caller discards them.
-func pairPass(ctx context.Context, d *db.Database, pc *apriori.PairCount, pool *sched.Pool, stride int, rec *obs.Recorder) (tris [][]int32, work []int64, err error) {
+// chunks of a global ChunkStride-transaction grid from a cursor per segment
+// (a long transaction costs quadratically more, so a static split would
+// strand work), and work[p] is the greedy list-schedule of the per-chunk
+// work — the deterministic stand-in for the racy claims, as CountWork is
+// for the classes. On cancellation the counts are partial and the caller
+// discards them.
+func pairPass(ctx context.Context, src source, pc *apriori.PairCount, pool *sched.Pool, stride int, rec *obs.Recorder) (tris [][]int32, work []int64, err error) {
 	procs := pool.Procs()
 	cells := pc.Cells()
-	n := d.Len()
-	chunkWork := make([]int64, sched.NumChunks(n, stride))
-	cur := sched.NewCursor(len(chunkWork))
+	chunkWork := make([]int64, sched.NumChunks(src.numTx, stride))
 	tris = make([][]int32, procs)
-	err = pool.Run(func(p int) {
-		tris[p] = getBuf[int32](&triPool, cells, true)
-		scratch := make([]int32, pc.N())
-		var w int64
-		for ctx.Err() == nil {
-			c, ok := cur.Next()
-			if !ok {
-				break
+	scratch := make([][]int32, procs)
+	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
+		end := base + sd.Len()
+		cLo, cHi := sched.ChunkSpan(base, end, stride)
+		cur := sched.NewCursor(cHi - cLo)
+		return pool.Run(func(p int) {
+			if tris[p] == nil {
+				tris[p], scratch[p] = getBuf[int32](&triPool, cells, true), make([]int32, pc.N())
 			}
-			lo, hi := sched.ChunkRange(n, stride, c)
-			chunkWork[c] = pc.CountRange(ctx, tris[p], scratch, d, lo, hi, stride)
-			w += chunkWork[c]
-		}
-		rec.Worker(p).AddWork(w)
+			var w int64
+			for ctx.Err() == nil {
+				c, ok := cur.Next()
+				if !ok {
+					break
+				}
+				c += cLo
+				lo, hi := sched.ChunkRange(c, stride, base, end)
+				// A chunk straddling a segment edge is claimed once per
+				// segment, and the pool barrier separates segments, so
+				// this write is private.
+				cw := pc.CountRange(ctx, tris[p], scratch[p], sd, lo, hi, stride)
+				chunkWork[c] += cw
+				w += cw
+			}
+			rec.Worker(p).AddWork(w)
+		})
 	})
 	if err != nil || ctx.Err() != nil {
 		return tris, nil, err
