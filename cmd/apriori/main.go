@@ -230,8 +230,8 @@ func run(o cliOptions) error {
 				return err
 			}
 			defer r.Close()
-			fmt.Printf("segmented store: %d transactions, %d segments, max segment %.1f MB\n",
-				r.NumTx(), r.NumSegments(), float64(r.MaxSegmentBytes())/(1<<20))
+			fmt.Printf("segmented store: %d transactions, %d segments, max segment %d B\n",
+				r.NumTx(), r.NumSegments(), r.MaxSegmentBytes())
 			break
 		}
 		if o.MemBudget != "" || o.MMap {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -270,6 +271,51 @@ func TestRunSegmentedStore(t *testing.T) {
 		if err := run(o); !errors.As(err, &ue) || !strings.Contains(err.Error(), "checkpoint") {
 			t.Errorf("segmented -checkpoint (resume %v): err = %v, want usage error", resume, err)
 		}
+	}
+}
+
+// TestRunStoreBanner pins the segmented store's banner: the largest segment
+// in bytes, the unit of the vbit budget refusal, which a small store's
+// segments read in MB as 0.0.
+func TestRunStoreBanner(t *testing.T) {
+	d, err := gen.Generate(gen.Params{T: 5, I: 2, D: 400, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "d.arseg")
+	if err := seg.WriteDatabase(path, d, seg.WriterOptions{SegTx: 150}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := seg.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxSeg := r.MaxSegmentBytes()
+	r.Close()
+
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = out
+	o := base()
+	o.GenSpec = ""
+	o.DBPath = path
+	runErr := run(o)
+	os.Stdout = old
+	out.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("segmented store: 400 transactions, 3 segments, max segment %d B\n", maxSeg)
+	if !strings.HasPrefix(string(got), want) {
+		t.Errorf("stdout begins %q, want %q", strings.SplitAfter(string(got), "\n")[0], want)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -24,13 +23,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ingestRequest is the /ingest body: transactions as arrays of item ids.
-// Items decode as int64 first so out-of-range values are rejected by
-// validation instead of silently truncated by a narrow decode.
-type ingestRequest struct {
-	Transactions [][]int64 `json:"transactions"`
-}
-
 type ingestResponse struct {
 	Accepted int    `json:"accepted"`
 	Total    int64  `json:"total"`
@@ -38,24 +30,10 @@ type ingestResponse struct {
 }
 
 func (s *Server) ingestHandler(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req ingestRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.ingestErrs.Add(1)
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSONError(w, status, fmt.Sprintf("decode: %v", err))
-		return
-	}
-	batch, err := s.ValidateBatch(req.Transactions)
+	batch, err := s.readBatch(w, r)
 	if err != nil {
 		s.ingestErrs.Add(1)
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		writeJSONError(w, ingestStatus(err), err.Error())
 		return
 	}
 	accepted, err := s.Ingest(batch)

@@ -201,41 +201,9 @@ type txError struct {
 
 func (e *txError) Error() string { return fmt.Sprintf("transaction %d: %v", e.Index, e.Err) }
 
-// ValidateBatch bounds-checks one ingest batch against the configured
-// limits — the JSON twin of the PR 3 binary-reader validation: batch size,
-// per-transaction length, and item range are all checked before anything
-// touches shared state. It returns the normalized (sorted, deduplicated)
-// itemsets, ready for TryAppend.
-func (s *Server) ValidateBatch(txs [][]int64) ([]itemset.Itemset, error) {
-	if len(txs) == 0 {
-		return nil, errEmptyBatch
-	}
-	if len(txs) > s.cfg.MaxBatch {
-		return nil, fmt.Errorf("%w: %d > %d", errBatchTooLarge, len(txs), s.cfg.MaxBatch)
-	}
-	out := make([]itemset.Itemset, len(txs))
-	for i, tx := range txs {
-		if len(tx) == 0 {
-			return nil, &txError{i, errors.New("no items")}
-		}
-		if len(tx) > s.cfg.MaxTxItems {
-			return nil, &txError{i, fmt.Errorf("%d items > limit %d", len(tx), s.cfg.MaxTxItems)}
-		}
-		items := make([]itemset.Item, len(tx))
-		for j, v := range tx {
-			if v < 0 || v >= s.cfg.MaxItem {
-				return nil, &txError{i, fmt.Errorf("item %d outside universe [0,%d)", v, s.cfg.MaxItem)}
-			}
-			items[j] = itemset.Item(v) // bounds-checked above: New caps MaxItem at 2³¹
-		}
-		out[i] = itemset.New(items...) // sorts + dedups
-	}
-	return out, nil
-}
-
 // Ingest appends a validated batch into the live database and signals the
 // re-mine loop. Only the append itself runs under the lock — validation and
-// normalization happened in ValidateBatch, outside. Returns the number of
+// normalization happened in decodeBatch, outside. Returns the number of
 // transactions accepted; on db.ErrArenaFull the prefix that fit stays
 // ingested (every accepted transaction is durable in-memory) and the error
 // reports the overflow.

@@ -36,7 +36,7 @@ func testConfig() Config {
 }
 
 // genBatch renders a seeded Quest workload as the daemon's wire format.
-func genBatch(t *testing.T, p gen.Params) ([][]int64, *db.Database) {
+func genBatch(t testing.TB, p gen.Params) ([][]int64, *db.Database) {
 	t.Helper()
 	d, err := gen.Generate(p)
 	if err != nil {
@@ -85,6 +85,19 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 			t.Fatalf("decode response: %v", err)
 		}
 	}
+	return resp.StatusCode
+}
+
+// postRaw posts body bytes as they are, for bodies no Go value marshals to,
+// and returns the HTTP status.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
 }
 
@@ -416,6 +429,29 @@ func TestIngestValidation(t *testing.T) {
 		if code := postJSON(t, ts.URL+"/ingest", tc.body, nil); code != tc.want {
 			t.Errorf("%s: HTTP %d, want %d", tc.name, code, tc.want)
 		}
+	}
+	// Raw bodies outside the grammar. encoding/json takes the first five:
+	// the null as item 0, the first object or the last member alone, the
+	// member name matched case-insensitively, and -0 as item 0.
+	for _, body := range []string{
+		`{"transactions":[[1,null,3]]}`,
+		`{"transactions":[[1]]}{"transactions":[[2]]}`,
+		`{"transactions":[[9]],"transactions":[[1,2]]}`,
+		`{"Transactions":[[1]]}`,
+		`{"transactions":[[-0]]}`,
+		`{"transactions":[[01]]}`,
+		`{"transactions":[[1.0]]}`,
+		`{"transactions":[[1e0]]}`,
+	} {
+		if code := postRaw(t, ts.URL+"/ingest", body); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", body, code)
+		}
+	}
+	// A valid batch one byte over the body cap.
+	over := `{"transactions":[[1]]}`
+	over += strings.Repeat(" ", int(cfg.MaxBodyBytes)+1-len(over))
+	if code := postRaw(t, ts.URL+"/ingest", over); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of MaxBodyBytes+1 bytes: HTTP %d, want 413", code)
 	}
 	// A rejected batch must be all-or-nothing: only the final ok case landed.
 	if got := s.Ingested(); got != 2 {
