@@ -491,8 +491,9 @@ func printStats(st *engine.Stats, verbose bool) {
 		fmt.Printf("total time: %v (class DFS %v)\n", st.Total, st.Count)
 		if verbose {
 			v := st.VBit
-			fmt.Printf("  classes=%d columns=%d bitmap/%d tidlist modeltime=%d totalwork=%d\n",
-				v.Classes, v.DenseItems, v.SparseItems, v.ModelTime(), v.TotalWork())
+			fmt.Printf("  classes=%d columns=%d bitmap/%d tidlist modeltime=%d totalwork=%d largestclass=%.1f%% speedup=%.2fx (modelled)\n",
+				v.Classes, v.DenseItems, v.SparseItems, v.ModelTime(), v.TotalWork(),
+				100*v.LargestClassShare(), float64(v.TotalWork())/float64(max(v.ModelTime(), 1)))
 			if v.PairWork != nil {
 				fmt.Printf("  pair pass %v pairwork=%v\n", v.Pairs, v.PairWork)
 			}

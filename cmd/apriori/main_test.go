@@ -319,6 +319,37 @@ func TestRunStoreBanner(t *testing.T) {
 	}
 }
 
+// TestRunVBitStatsLine pins vbit's -v stats line, class balance included:
+// the largest class's share of the class work and the modelled speedup
+// totalwork/modeltime, which ROADMAP quotes.
+func TestRunVBitStatsLine(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = out
+	o := base()
+	o.GenSpec = "T10.I4.D1000"
+	o.Support = 0.01
+	o.Algo = "vbit"
+	o.Verbose = true
+	runErr := run(o)
+	os.Stdout = old
+	out.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "  classes=469 columns=176 bitmap/293 tidlist modeltime=33939 totalwork=57197 largestclass=14.9% speedup=1.69x (modelled)\n"
+	if !strings.Contains(string(got), want) {
+		t.Errorf("stdout lacks the pinned vbit line %q:\n%s", want, got)
+	}
+}
+
 // TestParseByteSize pins the K/M/G suffix parser.
 func TestParseByteSize(t *testing.T) {
 	good := map[string]int64{

@@ -11,8 +11,9 @@ type Scratch struct {
 }
 
 // NewScratch sizes a scratch set for this layout. The tidlist buffers are
-// bounded by the longest stored list or by one tid per bitmap word
-// (ExtractInto only demotes bitmaps whose cardinality is below Words).
+// bounded by the longest stored list or by one tid per bitmap word (the
+// switch-over rule, keepBitmap, only demotes bitmaps of fewer than
+// Words/listWords tids).
 func (l *Layout) NewScratch() *Scratch {
 	n := l.listMax
 	if l.Words > n {

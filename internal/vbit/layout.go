@@ -94,13 +94,6 @@ func (l *Layout) release() {
 	l.wordArena, l.listArena, l.sets = nil, nil, nil
 }
 
-// releaseTriangles returns the pair pass's triangles to their pool.
-func releaseTriangles(tris [][]int32) {
-	for _, t := range tris {
-		putBuf(&triPool, t)
-	}
-}
-
 // NewLayout materializes the vertical layout for every item that occurs at
 // least once, using the default density cutoff when cutoff <= 0.
 func NewLayout(d *db.Database, cutoff float64) *Layout {

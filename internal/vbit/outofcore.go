@@ -29,8 +29,9 @@ var ErrTooManyTx = errors.New("vbit: store holds more than 2³¹−1 transaction
 // without materializing the horizontal database. As in the authors' Eclat
 // (Zaki, Parthasarathy, Ogihara and Li, KDD 1997), it counts horizontally,
 // turns the data vertical once and mines the classes depth-first: the F1
-// scan, the column fill and, when its cost rule pays, the pair pass each
-// stream the segments through one seg.Pipeline, and the fill writes every
+// scan, then one stream that fills the columns and, when its cost rule
+// pays, runs the pair pass, each stream the segments through one
+// seg.Pipeline, so every segment loads twice. The fill writes every
 // transaction's global tid (segment offset + row). The columns, the class
 // DFS and the work model are therefore exactly those of Mine over the same
 // transactions, and the columns are resident.

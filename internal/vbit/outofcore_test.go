@@ -83,11 +83,10 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 				if got, w := model(stats), model(vst); !reflect.DeepEqual(got, w) {
 					t.Errorf("%s: work model\n got %+v\nwant %+v", label, got, w)
 				}
-				// F1, the fill and, when it runs, the pair pass.
+				// F1, then the fill fused with the pair pass when it runs.
 				p := stats.OutOfCore
-				passes := 2 + int(max(force, 0))
-				if p == nil || p.Passes != passes || p.Segments != passes*r.NumSegments() {
-					t.Errorf("%s: pipeline %+v, want %d passes over %d segments", label, p, passes, r.NumSegments())
+				if p == nil || p.Passes != 2 || p.Segments != 2*r.NumSegments() {
+					t.Errorf("%s: pipeline %+v, want 2 passes over %d segments", label, p, r.NumSegments())
 				} else if budget == 0 && !p.Overlapped {
 					t.Errorf("%s: default budget should double-buffer", label)
 				}
@@ -99,7 +98,7 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 // TestSegmentedBeyondArenaLimit mines a store whose item arena exceeds the
 // (test-lowered) single-arena ceiling — impossible to load in RAM — and must
 // match the reference mined before the limit dropped, loading each segment
-// once per horizontal pass: two or three passes, however deep the mine.
+// once per horizontal pass: two passes, however deep the mine.
 func TestSegmentedBeyondArenaLimit(t *testing.T) {
 	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
 	if err != nil {
@@ -125,8 +124,8 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "beyond-arena", res, want)
-	if p := stats.OutOfCore; p.Passes < 2 || p.Passes > 3 || p.Segments != p.Passes*r.NumSegments() {
-		t.Errorf("pipeline loaded %d segments over %d passes, want 2 or 3 passes of %d segments (mined to k=%d)",
+	if p := stats.OutOfCore; p.Passes != 2 || p.Segments != 2*r.NumSegments() {
+		t.Errorf("pipeline loaded %d segments over %d passes, want 2 passes of %d segments (mined to k=%d)",
 			p.Segments, p.Passes, r.NumSegments(), len(res.ByK)-1)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apriori"
+	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/robust"
 	"repro/internal/sched"
@@ -63,26 +64,35 @@ func TestPairTriangleMatchesDiffsets(t *testing.T) {
 	const minCount = 20
 	f1 := apriori.FrequentOne(d, minCount)
 	lay := layoutAt(d, 0, minCount)
-	heads := make([]head, len(f1))
-	for i, f := range f1 {
-		heads[i] = head{item: f.Items[0], sup: f.Count, s: lay.sets[f.Items[0]]}
-	}
-	pool := sched.NewPool(3)
-	defer pool.Close()
 	pc := apriori.NewPairCount(f1, d.NumItems())
-	tris, _, err := pairPass(context.Background(), inRAM(d), pc, pool, 50, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk := newTask(lay, minCount, 0, len(heads))
-	for a := range heads {
-		for b := a + 1; b < len(heads); b++ {
-			card, _, _ := tk.diffInto(heads[a].s, heads[b].s)
-			if got, want := int64(tris[0][pc.RowBase(a)+b]), heads[a].sup-card; got != want {
-				t.Fatalf("pair (%d,%d): triangle %d, diffset support %d", heads[a].item, heads[b].item, got, want)
+	tri := countPairs(t, d, pc, 3, 50)
+	tk := newTask(lay, minCount, 0, len(f1))
+	for a := range f1 {
+		for b := a + 1; b < len(f1); b++ {
+			x, y := f1[a].Items[0], f1[b].Items[0]
+			card, _, _ := tk.diffInto(lay.sets[x], lay.sets[y])
+			if got, want := int64(tri[pc.RowBase(a)+b]), f1[a].Count-card; got != want {
+				t.Fatalf("pair (%d,%d): triangle %d, diffset support %d", x, y, got, want)
 			}
 		}
 	}
+}
+
+// countPairs runs the pair pass over d in one segment on procs workers and
+// returns the reduced triangle.
+func countPairs(t *testing.T, d *db.Database, pc *apriori.PairCount, procs, stride int) []int32 {
+	t.Helper()
+	pool := sched.NewPool(procs)
+	defer pool.Close()
+	pp := newPairPass(pc, pool, d.Len(), stride, nil)
+	if err := pp.count(context.Background(), 0, d); err != nil {
+		t.Fatal(err)
+	}
+	tri, _, err := pp.reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tri
 }
 
 // tripCtx reports cancellation from its at-th Err call on.
@@ -167,14 +177,14 @@ func TestModelPinnedPairPass(t *testing.T) {
 		} else if st.TotalWork() != total {
 			t.Errorf("procs=%d: TotalWork %d != %d", procs, st.TotalWork(), total)
 		}
-		if procs == 4 && st.ModelTime() != 44467 {
-			t.Errorf("ModelTime(procs=4) = %d, want pinned 44467", st.ModelTime())
+		if procs == 4 && st.ModelTime() != 34794 {
+			t.Errorf("ModelTime(procs=4) = %d, want pinned 34794", st.ModelTime())
 		}
 	}
-	// 52635 without the pass, whose narrow classes are projected, and 99455
-	// with none projected: on this dense-ish data the pass costs more than
-	// it saves, which is why the cost rule declines it here.
-	if total != 105847 {
-		t.Errorf("TotalWork = %d, want pinned 105847", total)
+	// 32458 without the pass, whose narrow classes are projected: on this
+	// dense-ish data the pass costs more than it saves, which is why the
+	// cost rule declines it here.
+	if total != 82612 {
+		t.Errorf("TotalWork = %d, want pinned 82612", total)
 	}
 }

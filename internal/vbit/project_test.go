@@ -1,7 +1,6 @@
 package vbit
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/db"
 	"repro/internal/itemset"
-	"repro/internal/sched"
 )
 
 // TestProjectKernels checks ProjectTable, ProjectInto and ProjectListInto
@@ -115,20 +113,11 @@ func projectedClasses(t *testing.T, d *db.Database, cutoff float64, minCount int
 	t.Helper()
 	f1 := apriori.FrequentOne(d, minCount)
 	lay := layoutAt(d, cutoff, minCount)
-	heads := make([]head, len(f1))
-	for i, f := range f1 {
-		heads[i] = head{item: f.Items[0], sup: f.Count, s: lay.sets[f.Items[0]]}
-	}
+	heads := classOrder(f1)
 	tk := newTask(lay, minCount, 0, len(heads))
 	if pairs && len(f1) >= 2 {
-		pool := sched.NewPool(1)
-		defer pool.Close()
 		tk.pc = apriori.NewPairCount(f1, d.NumItems())
-		tris, _, err := pairPass(context.Background(), inRAM(d), tk.pc, pool, 64, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk.tri = tris[0]
+		tk.tri = countPairs(t, d, tk.pc, 1, 64)
 	}
 	pairsOnly := newTask(lay, minCount, 2, len(heads))
 	for c, h := range heads {

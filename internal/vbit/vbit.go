@@ -1,9 +1,11 @@
 package vbit
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/apriori"
@@ -71,14 +73,17 @@ type Stats struct {
 	F1Work []int64
 	// BuildWork is the serial fill pass materializing the vertical columns.
 	BuildWork int64
-	// ClassWork[c] is the DFS work of first-level class c: every kernel
-	// word/tid touched while diffing that class's subtree. Written once by
-	// the class's claimant, deterministic per class.
+	// ClassWork[c] is the DFS work of the c-th first-level class in mining
+	// order (classOrder): every kernel word/tid touched while diffing that
+	// class's subtree. Written once by the class's claimant, deterministic
+	// per class.
 	ClassWork []int64
 	// CountWork is the greedy list-schedule of ClassWork over Procs — the
 	// deterministic stand-in for the racy dynamic class assignment.
 	CountWork []int64
 	// ReduceWork is the k-way merge work (total itemsets merged, k >= 2).
+	// Each class sorts its own lists before the merge, uncharged, as the
+	// DFS's emits are.
 	ReduceWork int64
 	// PairWork[p] is processor p's pair-pass work (item scans plus
 	// triangle increments), the greedy list-schedule of the per-chunk work;
@@ -115,6 +120,19 @@ func (s *Stats) TotalWork() int64 {
 // build and merge.
 func (s *Stats) ModelTime() int64 {
 	return maxOf(s.F1Work) + s.BuildWork + maxOf(s.PairWork) + maxOf(s.CountWork) + s.ReduceWork
+}
+
+// LargestClassShare is the largest class's share of the class work: the
+// skew that bounds the class-granularity schedule (0 without class work).
+func (s *Stats) LargestClassShare() float64 {
+	var sum int64
+	for _, w := range s.ClassWork {
+		sum += w
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(maxOf(s.ClassWork)) / float64(sum)
 }
 
 func maxOf(v []int64) int64 {
@@ -174,8 +192,9 @@ func inRAM(d *db.Database) source {
 }
 
 // mine is the whole run, shared by MineCtx and MineSegmentedCtx: the F1
-// scan, the column fill and the pair pass read the source, and every later
-// phase reads the columns only.
+// scan, then one stream that fills the columns and runs the pair pass,
+// read the source, and every later phase reads the columns only. A store is
+// therefore loaded twice, whatever the mine's depth.
 func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -225,59 +244,64 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 		return res, stats, nil
 	}
 
-	// Phase 2: materialize the vertical layout (serial fill; the counting
-	// half of the build already ran in parallel above). Tids are global, so
-	// a store's columns are the in-RAM ones.
+	// Phase 2: size the columns and order the classes. Both need only F1,
+	// and so does the pair pass's cost rule, which reads the columns'
+	// classification: the pass can share the fill's segment stream.
 	if err := robust.Canceled(ctx, "build", 2); err != nil {
 		return res, stats, err
 	}
-	rec.SetPhase(obs.PhaseTreeBuild, 2)
-	rec.BeginPhase(obs.PhaseTreeBuild, 2)
 	lay := newLayout(src.numTx, src.numItems, opts.DensityCutoff, minCount, sups)
 	defer lay.release()
-	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
-		lay.fill(base, sd)
-		return nil
-	})
-	rec.EndPhase(obs.PhaseTreeBuild, 2)
-	if err != nil {
-		return nil, nil, annotate(err, "build", 2)
+	heads := classOrder(res.ByK[1])
+	stats.Classes = len(heads)
+	var pp *pairPass
+	if opts.forcePairs > 0 ||
+		opts.forcePairs == 0 && pairPassPays(pairBound, levelTwoWork(heads, lay), opts.Procs, len(heads)) {
+		pp = newPairPass(apriori.NewPairCount(res.ByK[1], src.numItems), pool, src.numTx, opts.ChunkStride, rec)
+		defer pp.release()
 	}
-	if err := robust.Canceled(ctx, "build", 2); err != nil {
+
+	// Phase 3: one stream over the source fills the columns (serial; the
+	// counting half of the build already ran in parallel above) and, when
+	// it pays, counts every pair of frequent items, segment by segment.
+	// Tids are global, so a store's columns are the in-RAM ones. The
+	// reduced triangle lets the class DFS skip every infrequent pair's
+	// level-2 diffset.
+	//
+	// The fill polls nothing and runs on this goroutine, so a cancellation
+	// or worker panic inside the stream is the pair pass's when it runs.
+	phase := "build"
+	if pp != nil {
+		phase = "pairs"
+	}
+	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
+		rec.SetPhase(obs.PhaseTreeBuild, 2)
+		rec.BeginPhase(obs.PhaseTreeBuild, 2)
+		lay.fill(base, sd)
+		rec.EndPhase(obs.PhaseTreeBuild, 2)
+		if pp == nil {
+			return nil
+		}
+		return pp.count(ctx, base, sd)
+	})
+	if err != nil {
+		return nil, nil, annotate(err, phase, 2)
+	}
+	if err := robust.Canceled(ctx, phase, 2); err != nil {
 		return res, stats, err
 	}
 	stats.BuildWork = src.totalItems * WorkItemScan
 	stats.DenseItems = lay.denseItems
 	stats.SparseItems = lay.sparseItems
-
-	heads := make([]head, len(res.ByK[1]))
-	for i, f := range res.ByK[1] {
-		heads[i] = head{item: f.Items[0], sup: f.Count, s: lay.sets[f.Items[0]]}
-	}
-	stats.Classes = len(heads)
-
-	// Phase 3, when it pays: the pair pass, whose reduced triangle lets the
-	// class DFS skip every infrequent pair's level-2 diffset.
 	var pc *apriori.PairCount
 	var tri []int32
-	if opts.forcePairs > 0 ||
-		opts.forcePairs == 0 && pairPassPays(pairBound, levelTwoWork(heads, lay.Words), opts.Procs, len(heads)) {
-		rec.SetPhase(obs.PhasePairs, 2)
-		rec.BeginPhase(obs.PhasePairs, 2)
-		tPairs := time.Now() //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
-		pc = apriori.NewPairCount(res.ByK[1], src.numItems)
-		tris, work, err := pairPass(ctx, src, pc, pool, opts.ChunkStride, rec)
-		defer releaseTriangles(tris)
-		rec.EndPhase(obs.PhasePairs, 2)
-		stats.Pairs = time.Since(tPairs) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
+	if pp != nil {
+		pc = pp.pc
+		tri, stats.PairWork, err = pp.reduce()
+		stats.Pairs = pp.wall
 		if err != nil {
 			return nil, nil, annotate(err, "pairs", 2)
 		}
-		if err := robust.Canceled(ctx, "pairs", 2); err != nil {
-			return res, stats, err
-		}
-		stats.PairWork = work
-		tri = tris[0]
 	}
 
 	// Phase 4: per-equivalence-class dEclat DFS on the shared pool. Classes
@@ -320,10 +344,9 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 	stats.ClassWork = classWork
 	stats.CountWork = sched.GreedySchedule(classWork, opts.Procs)
 
-	// Phase 5: merge per-class per-k lists in class order. Each class emits
-	// its k-sets in ascending order and classes own disjoint ascending
-	// prefix ranges, so the k-way merge yields the deterministic global
-	// ordering every engine shares.
+	// Phase 5: merge the per-class per-k lists. Each class sorts its own
+	// k-sets, and the classes' sets are disjoint, so the k-way merge yields
+	// the deterministic global ordering every engine shares.
 	rec.SetPhase(obs.PhaseReduce, 2)
 	rec.BeginPhase(obs.PhaseReduce, 2)
 	for k := 2; ; k++ {
@@ -406,79 +429,140 @@ func pairPassPays(bound, levelTwo int64, procs, n int) bool {
 }
 
 // levelTwoWork is the work diffInto charges for every level-2 diffset
-// d(ab) = t(a) \ t(b), a < b, computed in O(|F1|) from the layout: per pair,
-// Words when a is a bitmap or |t(a)| when it is a tidlist, plus |t(b)| when
-// b is a tidlist.
-func levelTwoWork(heads []head, words int) int64 {
+// d(ab) = t(a) \ t(b), a before b in class order, computed in O(|F1|) from
+// the layout's classification, before the fill: per pair, Words when a is a
+// bitmap or sup(a) when it is a tidlist, plus sup(b) when b is a tidlist.
+// A tidlist holds its item's support in tids once filled.
+func levelTwoWork(heads []head, lay *Layout) int64 {
 	var w, laterLists int64
 	for c := len(heads) - 1; c >= 0; c-- {
-		s := heads[c].s
-		own := int64(words) * WorkWordOp
-		if !s.dense() {
-			own = int64(len(s.list)) * WorkTidOp
+		dense := lay.sets[heads[c].item].dense()
+		own := int64(lay.Words) * WorkWordOp
+		if !dense {
+			own = heads[c].sup * WorkTidOp
 		}
 		w += int64(len(heads)-c-1)*own + laterLists
-		if !s.dense() {
-			laterLists += int64(len(s.list)) * WorkTidOp
+		if !dense {
+			laterLists += heads[c].sup * WorkTidOp
 		}
 	}
 	return w
 }
 
 // pairPass counts every pair of frequent items into one private triangle per
-// worker and reduces them, by cell range, into tris[0]. Workers claim
-// chunks of a global ChunkStride-transaction grid from a cursor per segment
-// (a long transaction costs quadratically more, so a static split would
-// strand work), and work[p] is the greedy list-schedule of the per-chunk
-// work — the deterministic stand-in for the racy claims, as CountWork is
-// for the classes. On cancellation the counts are partial and the caller
-// discards them.
-func pairPass(ctx context.Context, src source, pc *apriori.PairCount, pool *sched.Pool, stride int, rec *obs.Recorder) (tris [][]int32, work []int64, err error) {
-	procs := pool.Procs()
-	cells := pc.Cells()
-	chunkWork := make([]int64, sched.NumChunks(src.numTx, stride))
-	tris = make([][]int32, procs)
-	scratch := make([][]int32, procs)
-	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
-		end := base + sd.Len()
-		cLo, cHi := sched.ChunkSpan(base, end, stride)
-		cur := sched.NewCursor(cHi - cLo)
-		return pool.Run(func(p int) {
-			if tris[p] == nil {
-				tris[p], scratch[p] = getBuf[int32](&triPool, cells, true), make([]int32, pc.N())
-			}
-			var w int64
-			for ctx.Err() == nil {
-				c, ok := cur.Next()
-				if !ok {
-					break
-				}
-				c += cLo
-				lo, hi := sched.ChunkRange(c, stride, base, end)
-				// A chunk straddling a segment edge is claimed once per
-				// segment, and the pool barrier separates segments, so
-				// this write is private.
-				cw := pc.CountRange(ctx, tris[p], scratch[p], sd, lo, hi, stride)
-				chunkWork[c] += cw
-				w += cw
-			}
-			rec.Worker(p).AddWork(w)
-		})
-	})
-	if err != nil || ctx.Err() != nil {
-		return tris, nil, err
-	}
-	err = pool.Run(func(p int) {
-		apriori.ReduceRange(tris, p*cells/procs, (p+1)*cells/procs)
-	})
-	return tris, sched.GreedySchedule(chunkWork, procs), err
+// worker, one segment at a time, and reduces them, by cell range, into the
+// first. Workers claim chunks of a global stride-transaction grid from a
+// cursor per segment (a long transaction costs quadratically more, so a
+// static split would strand work), and the pass's work is the greedy
+// list-schedule of the per-chunk work — the deterministic stand-in for the
+// racy claims, as CountWork is for the classes. On cancellation the counts
+// are partial and the caller discards them.
+type pairPass struct {
+	pc        *apriori.PairCount
+	pool      *sched.Pool
+	stride    int
+	rec       *obs.Recorder
+	tris      [][]int32 // per-worker triangles; tris[0] takes the reduction
+	scratch   [][]int32 // per-worker rank buffers
+	chunkWork []int64
+	wall      time.Duration // the pass's own wall clock: its segments plus the reduction
 }
 
-// head is one first-level class anchor: a frequent item with its tidset.
+func newPairPass(pc *apriori.PairCount, pool *sched.Pool, numTx, stride int, rec *obs.Recorder) *pairPass {
+	procs := pool.Procs()
+	return &pairPass{
+		pc: pc, pool: pool, stride: stride, rec: rec,
+		tris:      make([][]int32, procs),
+		scratch:   make([][]int32, procs),
+		chunkWork: make([]int64, sched.NumChunks(numTx, stride)),
+	}
+}
+
+// begin opens one of the pass's phase spans and returns its closer, which
+// adds the span to the pass's wall clock.
+func (pp *pairPass) begin() func() {
+	pp.rec.SetPhase(obs.PhasePairs, 2)
+	pp.rec.BeginPhase(obs.PhasePairs, 2)
+	t0 := time.Now() //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
+	return func() {
+		pp.rec.EndPhase(obs.PhasePairs, 2)
+		pp.wall += time.Since(t0) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
+	}
+}
+
+// count adds the pairs of segment sd, whose first transaction has global
+// tid base.
+func (pp *pairPass) count(ctx context.Context, base int, sd *db.Database) error {
+	defer pp.begin()()
+	cells := pp.pc.Cells()
+	end := base + sd.Len()
+	cLo, cHi := sched.ChunkSpan(base, end, pp.stride)
+	cur := sched.NewCursor(cHi - cLo)
+	return pp.pool.Run(func(p int) {
+		if pp.tris[p] == nil {
+			pp.tris[p], pp.scratch[p] = getBuf[int32](&triPool, cells, true), make([]int32, pp.pc.N())
+		}
+		var w int64
+		for ctx.Err() == nil {
+			c, ok := cur.Next()
+			if !ok {
+				break
+			}
+			c += cLo
+			lo, hi := sched.ChunkRange(c, pp.stride, base, end)
+			// A chunk straddling a segment edge is claimed once per
+			// segment, and the pool barrier separates segments, so this
+			// write is private.
+			cw := pp.pc.CountRange(ctx, pp.tris[p], pp.scratch[p], sd, lo, hi, pp.stride)
+			pp.chunkWork[c] += cw
+			w += cw
+		}
+		pp.rec.Worker(p).AddWork(w)
+	})
+}
+
+// reduce sums the triangles into the first and returns it with the pass's
+// per-processor work. Every segment must have been counted.
+func (pp *pairPass) reduce() (tri []int32, work []int64, err error) {
+	defer pp.begin()()
+	procs, cells := pp.pool.Procs(), pp.pc.Cells()
+	err = pp.pool.Run(func(p int) {
+		apriori.ReduceRange(pp.tris, p*cells/procs, (p+1)*cells/procs)
+	})
+	return pp.tris[0], sched.GreedySchedule(pp.chunkWork, procs), err
+}
+
+// release returns the triangles to their pool; the pass and its reduced
+// triangle must be dead.
+func (pp *pairPass) release() {
+	for _, t := range pp.tris {
+		putBuf(&triPool, t)
+	}
+}
+
+// head is one first-level class anchor: a frequent item, its support, and
+// its F1 rank, which is its row and column in the pair triangle.
 type head struct {
 	item itemset.Item
 	sup  int64
-	s    set
+	rank int
+}
+
+// classOrder returns F1's items as class anchors in mining order: ascending
+// support, ties by item id. Class c extends its anchor with the anchors
+// after it only, so the least frequent item anchors the most extensions
+// but has the smallest tidset, and the most frequent, whose diffsets
+// against the others are the largest, anchors none (DESIGN.md "Class
+// order").
+func classOrder(f1 []apriori.FrequentItemset) []head {
+	heads := make([]head, len(f1))
+	for r, f := range f1 {
+		heads[r] = head{item: f.Items[0], sup: f.Count, rank: r}
+	}
+	slices.SortFunc(heads, func(a, b head) int {
+		return cmp.Or(cmp.Compare(a.sup, b.sup), cmp.Compare(a.item, b.item))
+	})
+	return heads
 }
 
 // node is one class member during the DFS: the extension item, its
@@ -508,8 +592,8 @@ type task struct {
 
 	// width is the bitmap width of the current frame: Layout.Words, or
 	// ⌈sup(a)/64⌉ while the subtree of a projected class a runs over tids
-	// re-numbered by rank within t(a). The representation rule, bitmap iff
-	// card ≥ width, applies inside the frame.
+	// re-numbered by rank within t(a). The switch-over rule (keepBitmap)
+	// applies inside the frame.
 	width int
 	// cum and moves are the projected anchor's ProjectTable (Words+1 and
 	// Words entries), allocated at the task's first projected class.
@@ -545,9 +629,9 @@ func newTask(lay *Layout, minCount int64, maxK, maxDepth int) *task {
 }
 
 // mineClass runs dEclat on the class anchored at heads[c] with tails
-// heads[c+1:], returning per-k result lists (index k, entries 0 and 1 nil).
-// Every diffset of the class lives on the task's stacks and is released
-// when the class returns.
+// heads[c+1:], returning per-k result lists (index k, entries 0 and 1 nil),
+// each sorted. Every diffset of the class lives on the task's stacks and is
+// released when the class returns.
 //
 // Every set in the class's subtree is a subset of t(a), the anchor's
 // tidset. When the projection rule (frame) takes the class, each level-2
@@ -558,6 +642,7 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	t.out = make([][]apriori.FrequentItemset, 2)
 	t.arena = nil
 	anchor := heads[c]
+	as := t.lay.sets[anchor.item]
 	t.pfx[0] = anchor.item
 	if t.maxK == 1 {
 		return t.out
@@ -565,29 +650,25 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	wm, tm := t.words.mark(), t.tids.mark()
 	// Level 2: diffsets against the anchor's tidset, d(ab) = t(a) \ t(b),
 	// sup(ab) = sup(a) − |d(ab)|. After the pair pass only frequent pairs
-	// get one: heads are in F1 rank order, the triangle's row order.
-	var row int
-	if t.tri != nil {
-		row = t.pc.RowBase(c)
-	}
+	// get one; the triangle is indexed by F1 rank.
 	width, project := t.frame(anchor)
 	children := t.kids[1][:0]
-	for j := c + 1; j < len(heads); j++ {
-		if t.tri != nil && int64(t.tri[row+j]) < t.minCount {
+	for _, h := range heads[c+1:] {
+		if t.tri != nil && int64(t.tri[t.pc.RowBase(min(anchor.rank, h.rank))+max(anchor.rank, h.rank)]) < t.minCount {
 			continue
 		}
-		card, words, n := t.diffInto(anchor.s, heads[j].s)
+		card, words, n := t.diffInto(as, t.lay.sets[h.item])
 		sup := anchor.sup - card
 		if sup < t.minCount {
 			continue
 		}
 		var s set
 		if project {
-			s = t.project(card, anchor.s.words, width, len(children) == 0)
+			s = t.project(card, as.words, width, len(children) == 0)
 		} else {
 			s = t.persist(card, words, n)
 		}
-		children = append(children, node{item: heads[j].item, sup: sup, s: s})
+		children = append(children, node{item: h.item, sup: sup, s: s})
 	}
 	t.kids[1] = children
 	if project {
@@ -599,6 +680,10 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 	t.width = t.lay.Words
 	t.words.reset(wm)
 	t.tids.reset(tm)
+	// The DFS emits in class order, not item order.
+	for _, fk := range t.out[2:] {
+		slices.SortFunc(fk, func(a, b apriori.FrequentItemset) int { return a.Items.Compare(b.Items) })
+	}
 	return t.out
 }
 
@@ -612,16 +697,17 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 func (t *task) frame(anchor head) (int, bool) {
 	width := int((anchor.sup + 63) / 64)
 	deep := t.maxK == 0 || t.maxK > 2
-	return width, anchor.s.dense() && width < t.lay.Words && deep && t.tri == nil
+	return width, t.lay.sets[anchor.item].dense() && width < t.lay.Words && deep && t.tri == nil
 }
 
 // project carves the full-width diffset in scr.Words, a subset of the
 // anchor's tidset mask, onto the stacks re-indexed by rank within mask: as
-// a bitmap of width words when card ≥ width, as a rank list otherwise. The
-// class's first member builds mask's ProjectTable, so a class without one
-// pays nothing for it; the task's first builds its buffers, so a mine
-// without a projected class pays nothing either. The work is the table's
-// words, the words scanned, and the tids mapped one by one into a list.
+// a bitmap of width words when the switch-over rule keeps one, as a rank
+// list otherwise. The class's first member builds mask's ProjectTable, so
+// a class without one pays nothing for it; the task's first builds its
+// buffers, so a mine without a projected class pays nothing either. The
+// work is the table's words, the words scanned, and the tids mapped one by
+// one into a list.
 func (t *task) project(card int64, mask []uint64, width int, first bool) set {
 	if first {
 		if t.moves == nil {
@@ -631,7 +717,7 @@ func (t *task) project(card int64, mask []uint64, width int, first bool) set {
 		t.work += int64(t.lay.Words) * WorkWordOp
 	}
 	t.work += int64(t.lay.Words) * WorkWordOp
-	if card >= int64(width) {
+	if keepBitmap(card, width) {
 		out := t.words.alloc(width)
 		ProjectInto(out, t.scr.Words, t.moves, t.cum)
 		return set{words: out, card: card}
@@ -678,14 +764,16 @@ func (t *task) grow(depth int, nodes []node) {
 }
 
 // emit records pfx[:depth] + item as a frequent (depth+1)-set. The items
-// are appended to the class arena; re-slicing with a capped capacity keeps
-// later appends from aliasing earlier itemsets.
+// are appended to the class arena and sorted there, since the prefix is in
+// class order; re-slicing with a capped capacity keeps later appends from
+// aliasing earlier itemsets.
 func (t *task) emit(depth int, item itemset.Item, sup int64) {
 	k := depth + 1
 	n := len(t.arena)
 	t.arena = append(t.arena, t.pfx[:depth]...)
 	t.arena = append(t.arena, item)
 	items := itemset.Itemset(t.arena[n : n+k : n+k])
+	slices.Sort(items)
 	for len(t.out) <= k {
 		t.out = append(t.out, nil)
 	}
@@ -717,14 +805,26 @@ func (t *task) diffInto(x, y set) (card int64, words bool, n int) {
 	}
 }
 
+// listWords is the diffset switch-over factor: a DFS diffset stays a
+// bitmap until it holds fewer than one tid per listWords words of its
+// frame. One tid per word is the memory break-even, but a tidlist kernel
+// pays several word ops per element (DiffInto is a branchy merge,
+// FilterInto probes bits at random, and the demotion itself pays
+// ExtractInto). In a sweep on the dense benchmark population factors 1
+// and 2 were slower, 4 to 16 measured alike, and the work model is lowest
+// at 8 (DESIGN.md "Diffset (dEclat) switch-over").
+const listWords = 8
+
+// keepBitmap is the switch-over rule: a diffset of card tids stays a bitmap
+// of width words iff it holds at least one tid per listWords words.
+func keepBitmap(card int64, width int) bool { return card*listWords >= int64(width) }
+
 // persist copies a scratch-resident diffset onto the task's stacks. A
-// word-form result whose cardinality has dropped below one tid per word of
-// the frame is demoted to a sorted tidlist (the diffset switch-over rule):
-// from there on this subtree's kernels run in tidlist mode, matching the
-// memory the set actually occupies rather than the frame's bitmap width.
+// word-form result the switch-over rule does not keep is demoted to a
+// sorted tidlist: from there on this subtree's kernels run in tidlist mode.
 func (t *task) persist(card int64, words bool, n int) set {
 	if words {
-		if card >= int64(t.width) {
+		if keepBitmap(card, t.width) {
 			out := t.words.alloc(t.width)
 			copy(out, t.scr.Words)
 			return set{words: out, card: card}

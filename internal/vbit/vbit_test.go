@@ -3,7 +3,9 @@ package vbit
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -205,8 +207,9 @@ func TestModelPinned(t *testing.T) {
 	}
 	// Frozen values for N=60 L=15 I=3 T=6 D=400 seed=5 at support 0.01 with
 	// the default layout cutoff: 28 bitmap columns, 9 tidlist columns, 37
-	// first-level classes, the classes of narrow bitmap anchors projected.
-	const pinnedTotalWork = 52635
+	// first-level classes mined in ascending support, the classes of narrow
+	// bitmap anchors projected.
+	const pinnedTotalWork = 32458
 	if ref.TotalWork() != pinnedTotalWork {
 		t.Errorf("TotalWork = %d, want pinned %d", ref.TotalWork(), pinnedTotalWork)
 	}
@@ -214,8 +217,13 @@ func TestModelPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats4.ModelTime() != 24175 {
-		t.Errorf("ModelTime(procs=4) = %d, want pinned 24175", stats4.ModelTime())
+	if stats4.ModelTime() != 16887 {
+		t.Errorf("ModelTime(procs=4) = %d, want pinned 16887", stats4.ModelTime())
+	}
+	// The largest class holds 2,657 of the 19,265 class work units (13.8%;
+	// 31.8% in item-id order).
+	if got := stats4.LargestClassShare(); got != 2657.0/19265 {
+		t.Errorf("LargestClassShare = %.4f, want pinned 2657/19265", got)
 	}
 	if stats4.Classes != 37 || stats4.DenseItems != 28 || stats4.SparseItems != 9 {
 		t.Errorf("classes/dense/sparse = %d/%d/%d, want 37/28/9",
@@ -245,8 +253,62 @@ func TestModelPinnedMaxK2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TotalWork() != 10100 || stats.ModelTime() != 4506 {
-		t.Errorf("TotalWork, ModelTime(procs=4) = %d, %d, want pinned 10100, 4506", stats.TotalWork(), stats.ModelTime())
+	if stats.TotalWork() != 9081 || stats.ModelTime() != 4255 {
+		t.Errorf("TotalWork, ModelTime(procs=4) = %d, %d, want pinned 9081, 4255", stats.TotalWork(), stats.ModelTime())
+	}
+}
+
+// TestClassOrder mines a handmade database whose frequent items tie on
+// support: the classes run in ascending support, ties by item id, and the
+// output keeps the canonical item order Apriori emits, at every worker
+// count, with the pair pass forced on and off, in one bitmap word and,
+// copied 20 times, in four (where the narrow classes are projected).
+func TestClassOrder(t *testing.T) {
+	rows := []itemset.Itemset{
+		{0, 1, 2, 4}, {0, 1, 4, 7}, {0, 1, 3, 4, 5, 7}, {1, 3, 4, 7}, {1, 2, 3, 4},
+		{1, 3, 4, 7}, {3, 4, 5, 7}, {3, 4, 6}, {0, 2}, {4, 5, 6, 7},
+	}
+	// Supports: 2 and 5 hold 3 rows, 0 holds 4, 1, 3 and 7 hold 6, 4 holds
+	// 9, and 6 (2 rows) is infrequent at 3 rows a copy. Class 5 emits {5 7}
+	// before {4 5}, so its pairs need sorting.
+	wantOrder := []itemset.Item{2, 5, 0, 1, 3, 7, 4}
+	for _, copies := range []int{1, 20} {
+		d := db.New(8)
+		for c := 0; c < copies; c++ {
+			for _, r := range rows {
+				d.Append(int64(d.Len()), r)
+			}
+		}
+		minCount := int64(3 * copies)
+		f1 := apriori.FrequentOne(d, minCount)
+		heads := classOrder(f1)
+		for i, h := range heads {
+			if h.item != wantOrder[i] || f1[h.rank].Items[0] != h.item || h.sup != f1[h.rank].Count {
+				t.Fatalf("copies=%d: class %d is item %d (rank %d, support %d), want item %d", copies, i, h.item, h.rank, h.sup, wantOrder[i])
+			}
+		}
+		want, err := apriori.Mine(d, apriori.Options{AbsSupport: minCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cutoff := range []float64{0, 1e-9} {
+			for _, force := range []int8{1, -1} {
+				var ref *Stats
+				for _, procs := range []int{1, 2, 4} {
+					label := fmt.Sprintf("copies=%d cutoff=%g pairs=%d P=%d", copies, cutoff, force, procs)
+					got, st, err := Mine(d, Options{AbsSupport: minCount, Procs: procs, DensityCutoff: cutoff, forcePairs: force})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameResult(t, label, got, want)
+					if ref == nil {
+						ref = st
+					} else if !reflect.DeepEqual(st.ClassWork, ref.ClassWork) {
+						t.Errorf("%s: ClassWork %v, at P=1 %v", label, st.ClassWork, ref.ClassWork)
+					}
+				}
+			}
+		}
 	}
 }
 
