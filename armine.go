@@ -386,7 +386,7 @@ type PlannerDBInfo = engine.DBInfo
 
 // DBStats are the O(1) header statistics (D, N, mean length, density)
 // embedded in PlannerDBInfo.
-type DBStats = vbit.DBStats
+type DBStats = engine.DBStats
 
 // CharacterizePlanner computes planner statistics for an in-memory database.
 func CharacterizePlanner(d *Database) PlannerDBInfo { return engine.Characterize(d) }

@@ -361,51 +361,6 @@ func BenchmarkCountKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkVBitKernel is the vertical engine's counterpart of
-// BenchmarkCountKernel: the same 3-candidate counting job driven through
-// word-parallel popcount intersections instead of the hash-tree walk, on a
-// dense (bitmap columns) and a sparse (tidlist columns) database. allocs/op
-// must be 0 — the kernels run entirely on caller-provided scratch.
-func BenchmarkVBitKernel(b *testing.B) {
-	for _, spec := range []struct {
-		name string
-		p    gen.Params
-	}{
-		{"dense", gen.Params{N: 60, L: 30, T: 12, I: 4, D: 1000, Seed: 1}},
-		{"sparse", gen.Params{T: 10, I: 4, D: 1000, Seed: 1}},
-	} {
-		d, err := gen.Generate(spec.p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := apriori.Mine(d, apriori.Options{AbsSupport: 5, MaxK: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var f2 []itemset.Itemset
-		for _, f := range res.ByK[2] {
-			f2 = append(f2, f.Items)
-		}
-		cands, _, _ := apriori.GenerateCandidates(f2, false)
-		if len(cands) == 0 {
-			b.Skip("no 3-candidates at this scale")
-		}
-		if len(cands) > 4096 {
-			cands = cands[:4096]
-		}
-		b.Run(spec.name, func(b *testing.B) {
-			lay := vbit.NewLayout(d, 0)
-			scr := lay.NewScratch()
-			out := make([]int64, len(cands))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lay.CountCandidates(scr, cands, out)
-			}
-		})
-	}
-}
-
 // BenchmarkPlacementAssign measures address assignment per policy.
 func BenchmarkPlacementAssign(b *testing.B) {
 	d := benchDB(b, 10, 4, 1000)

@@ -86,6 +86,9 @@ type cliOptions struct {
 	MetricsTo  string  // -metrics: Prometheus-text snapshot output (parallel engines)
 	MemBudget  string  // -mem-budget: resident-segment byte cap for segmented stores (e.g. 512M)
 	MMap       bool    // -mmap: serve segmented stores from a memory mapping
+	// Set names the flags given on the command line (flag.Visit), so
+	// -algo auto keeps an explicit -dbpart or -chunk even at its default.
+	Set map[string]bool
 }
 
 // parseByteSize parses "512M"-style sizes (K/M/G suffixes, base 1024).
@@ -142,6 +145,9 @@ func validate(o cliOptions) error {
 	if o.Threshold <= 0 {
 		return usagef("-threshold must be positive, got %d", o.Threshold)
 	}
+	if !(o.RuleConf >= 0 && o.RuleConf <= 1) {
+		return usagef("-rules must be a confidence in [0, 1] (0 = skip), got %g", o.RuleConf)
+	}
 	if o.Resume && o.Checkpoint == "" {
 		return usagef("-resume requires -checkpoint")
 	}
@@ -178,6 +184,8 @@ func main() {
 	flag.StringVar(&o.MemBudget, "mem-budget", "", "out-of-core residency budget for segmented -db stores, e.g. 512M (default: double-buffered)")
 	flag.BoolVar(&o.MMap, "mmap", false, "serve a segmented -db store from a memory mapping instead of read-at I/O")
 	flag.Parse()
+	o.Set = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { o.Set[f.Name] = true })
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "apriori:", err)
@@ -278,6 +286,17 @@ func run(o cliOptions) error {
 			info = engine.Characterize(d)
 		}
 		plan := engine.Planner{Procs: o.Procs, MemBudget: budget}.Plan(info)
+		// The planner's partition and chunk apply unless the flag was
+		// given; the line below prints the ones the run uses.
+		if o.Set["dbpart"] {
+			plan.DBPart = spec.DBPart
+			plan.Reason += "; -dbpart given"
+		}
+		if o.Set["chunk"] {
+			plan.ChunkSize = spec.ChunkSize
+			plan.Reason += "; -chunk given"
+		}
+		spec.DBPart, spec.ChunkSize = plan.DBPart, plan.ChunkSize
 		fmt.Printf("planner: density=%.5f (avg len %.1f over %d items, tail mass %.2f) -> %s\n",
 			info.Density, info.AvgLen, info.NumItems, info.TailMass, plan)
 		if o.Verbose {
@@ -291,14 +310,6 @@ func run(o cliOptions) error {
 			}
 		}
 		algo = plan.Engine
-		// The planner's partition and chunk choices apply unless the user
-		// overrode the defaults explicitly.
-		if o.DBPart == "block" {
-			spec.DBPart = plan.DBPart
-		}
-		if o.ChunkSize == 256 {
-			spec.ChunkSize = plan.ChunkSize
-		}
 	}
 
 	if baselineAlgos[algo] {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -350,6 +351,62 @@ func TestRunVBitStatsLine(t *testing.T) {
 	}
 }
 
+// TestRunAutoKeepsExplicitPartition runs -algo auto on the planner's
+// sparse-skewed golden shape, which plans ccpd with work stealing: an
+// explicit -dbpart or -chunk wins over the plan even at its default value,
+// and the planner line prints the partition and chunk the run uses.
+func TestRunAutoKeepsExplicitPartition(t *testing.T) {
+	d, err := gen.Generate(gen.Params{N: 3200, L: 1600, T: 10, I: 4, D: 2000, Seed: 1, SkewFrac: 0.05, SkewMult: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "skewed.ardb")
+	if err := d.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		tweak  func(o *cliOptions)
+		plan   string // on the planner line
+		steals bool   // whether the run steals (-v prints its chunks= lines)
+	}{
+		{"planned", func(o *cliOptions) {}, "dbpart=stealing chunk=62 ", true},
+		{"dbpart block", func(o *cliOptions) { o.Set["dbpart"] = true }, "dbpart=block chunk=62 ", false},
+		{"dbpart workload", func(o *cliOptions) { o.DBPart = "workload"; o.Set["dbpart"] = true }, "dbpart=workload chunk=62 ", false},
+		{"chunk 256", func(o *cliOptions) { o.Set["chunk"] = true }, "dbpart=stealing chunk=256 ", true},
+	}
+	for _, c := range cases {
+		o := base()
+		o.GenSpec, o.DBPath = "", path
+		o.Algo, o.Support, o.Verbose = "auto", 0.005, true
+		o.Set = map[string]bool{}
+		c.tweak(&o)
+		out, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stdout
+		os.Stdout = out
+		runErr := run(o)
+		os.Stdout = old
+		out.Close()
+		if runErr != nil {
+			t.Fatalf("%s: %v", c.name, runErr)
+		}
+		got, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(got), "-> engine=ccpd "+c.plan) {
+			t.Errorf("%s: planner line lacks %q:\n%s", c.name, c.plan, got)
+		}
+		if steals := strings.Contains(string(got), "chunks="); steals != c.steals {
+			t.Errorf("%s: run claims chunks %v, want %v:\n%s", c.name, steals, c.steals, got)
+		}
+	}
+}
+
 // TestParseByteSize pins the K/M/G suffix parser.
 func TestParseByteSize(t *testing.T) {
 	good := map[string]int64{
@@ -396,6 +453,9 @@ func TestValidateFlags(t *testing.T) {
 		{"maxk negative", func(o *cliOptions) { o.MaxK = -1 }},
 		{"max-candidates negative", func(o *cliOptions) { o.MaxCands = -1 }},
 		{"threshold zero", func(o *cliOptions) { o.Threshold = 0 }},
+		{"rules negative", func(o *cliOptions) { o.RuleConf = -1 }},
+		{"rules above one", func(o *cliOptions) { o.RuleConf = 1.5 }},
+		{"rules NaN", func(o *cliOptions) { o.RuleConf = math.NaN() }},
 		{"resume without checkpoint", func(o *cliOptions) { o.Resume = true }},
 		{"checkpoint with seq", func(o *cliOptions) { o.Checkpoint = "x.ckpt"; o.Algo = "seq" }},
 		{"counter misspelled", func(o *cliOptions) { o.Counter = "privat" }},
@@ -426,6 +486,7 @@ func TestValidateFlags(t *testing.T) {
 		{"support one", func(o *cliOptions) { o.Support = 1 }},
 		{"procs one", func(o *cliOptions) { o.Procs = 1 }},
 		{"chunk one", func(o *cliOptions) { o.ChunkSize = 1 }},
+		{"rules one", func(o *cliOptions) { o.RuleConf = 1 }},
 		{"counter locked", func(o *cliOptions) { o.Counter = "locked" }},
 		{"counter atomic", func(o *cliOptions) { o.Counter = "atomic" }},
 		{"balance block", func(o *cliOptions) { o.Balance = "block" }},

@@ -52,10 +52,6 @@ func main() {
 		waitFor   = flag.Duration("wait-timeout", 30*time.Second, "client mode: -wait-published timeout")
 	)
 	flag.Parse()
-	if *maxItem > serve.MaxItemLimit {
-		fmt.Fprintf(os.Stderr, "armined: -max-item %d exceeds %d: item ids are int32\n", *maxItem, int64(serve.MaxItemLimit))
-		os.Exit(2)
-	}
 
 	if *ingest != "" {
 		if err := runClient(*ingest, *to, *batchSize, *waitPub, *waitFor); err != nil {
@@ -63,12 +59,17 @@ func main() {
 		}
 		return
 	}
-	if err := runServer(serve.Config{
+	cfg := serve.Config{
 		Support: *support, MinConfidence: *conf, MaxConsequent: *maxCons,
 		Procs: *procs, Engine: *algo, MaxK: *maxK,
 		RemineInterval: *interval, MaxBatch: *maxBatch, MaxTxItems: *maxItems,
 		MaxItem: *maxItem, MaxBodyBytes: *maxBody,
-	}, *addr); err != nil {
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "armined: %v\n", err)
+		os.Exit(2)
+	}
+	if err := runServer(cfg, *addr); err != nil {
 		log.Fatalf("armined: %v", err)
 	}
 }

@@ -14,18 +14,18 @@
 // GOMAXPROCS and the git revision the binary was built from. go run does not
 // record the revision, so write committed snapshots from a built binary.
 //
-// Besides the hash-tree counter-mode sweep, the default run compares the two
-// counting engines head to head: EngineKernel/{dense,sparse}/{hashtree,vbit}
-// rows count the same k-candidate list through the hash-tree kernel and the
-// vertical popcount kernel on a dense and a sparse dataset, and the engine
-// verdict (nonzero exit on failure) requires vbit to beat the hash tree on
-// the dense one. -engine restricts which engines run.
+// Besides the hash-tree counter-mode sweep, the default run times the
+// hash-tree kernel on a dense and a sparse dataset:
+// EngineKernel/{dense,sparse}/hashtree count a k-candidate list against the
+// whole database.
 //
 // With -planner it additionally records planner-decision rows: the
 // cost-based engine.Planner's choice (with its full cost estimates) on the
-// dense and sparse reference workloads next to both engines' measured
-// full-run walls, and a verdict (nonzero exit on failure) that the planner
-// picked the measured-faster engine on each.
+// dense and sparse reference workloads next to both production engines'
+// measured full-run walls, and a verdict (nonzero exit on failure) that the
+// planner picked the measured-faster engine on each and that vbit's wall
+// is below ccpd's on the dense one — the claim the vertical engine exists
+// to deliver, measured on the code that ships.
 //
 // With -against FILE the fresh kernel measurements are compared to a
 // committed snapshot and the process exits nonzero on a >10% ns/op or
@@ -33,7 +33,7 @@
 //
 // Usage:
 //
-//	benchjson [-o BENCH_counting.json] [-d 2000] [-engine all|hashtree|vbit] [-planner]
+//	benchjson [-o BENCH_counting.json] [-d 2000] [-planner]
 //	benchjson -against BENCH_counting.json
 //	benchjson -scaling [-o BENCH_scaling.json]
 package main
@@ -57,30 +57,15 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hashtree"
 	"repro/internal/itemset"
-	"repro/internal/vbit"
 )
 
 // result is one benchmark configuration's measurement.
 type result struct {
 	Name        string  `json:"name"`
-	Engine      string  `json:"engine,omitempty"` // hashtree | vbit
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
-}
-
-// engineVerdict is the dense/sparse engine comparison outcome: the vertical
-// bitmap kernel must beat the hash-tree kernel on the dense dataset (the
-// claim the vbit engine exists to deliver); the sparse figures are recorded
-// so the crossover stays visible but are not gated — that side belongs to
-// the hash tree by design.
-type engineVerdict struct {
-	DenseHashtreeNs  float64 `json:"dense_hashtree_ns"`
-	DenseVBitNs      float64 `json:"dense_vbit_ns"`
-	SparseHashtreeNs float64 `json:"sparse_hashtree_ns"`
-	SparseVBitNs     float64 `json:"sparse_vbit_ns"`
-	Pass             bool    `json:"pass"`
 }
 
 // oocRow is one out-of-core pipeline measurement: the full segmented miner
@@ -145,13 +130,15 @@ type plannerRow struct {
 
 // plannerVerdict gates the planner against reality: on the dense and the
 // sparse reference workload the engine the planner chose must be the engine
-// that actually measured faster end to end.
+// that actually measured faster end to end, and on the dense one that
+// engine must be vbit.
 type plannerVerdict struct {
-	DensePlanned   string `json:"dense_planned"`
-	DenseMeasured  string `json:"dense_measured"`
-	SparsePlanned  string `json:"sparse_planned"`
-	SparseMeasured string `json:"sparse_measured"`
-	Pass           bool   `json:"pass"`
+	DensePlanned    string `json:"dense_planned"`
+	DenseMeasured   string `json:"dense_measured"`
+	SparsePlanned   string `json:"sparse_planned"`
+	SparseMeasured  string `json:"sparse_measured"`
+	DenseVBitFaster bool   `json:"dense_vbit_faster"`
+	Pass            bool   `json:"pass"`
 }
 
 // plannerSection is the planner portion of the counting report (-planner).
@@ -205,9 +192,6 @@ type report struct {
 	TxPerOp int      `json:"tx_per_op"`
 	K       int      `json:"k"`
 	Results []result `json:"results"`
-	// EngineVerdict is present when both engines ran the comparison rows
-	// (-engine all, the default).
-	EngineVerdict *engineVerdict `json:"engine_verdict,omitempty"`
 	// OutOfCore is present when -outofcore ran the prefetch-overlap rows.
 	OutOfCore *oocSection `json:"out_of_core,omitempty"`
 	// Planner is present when -planner ran the decision rows.
@@ -215,7 +199,7 @@ type report struct {
 }
 
 // kCandidates mines the (k-1)-frequent sets and joins them into the
-// k-candidate list both counting engines are benchmarked on.
+// k-candidate list the hash-tree kernel rows count.
 func kCandidates(d *db.Database, k int) ([]itemset.Itemset, error) {
 	res, err := apriori.Mine(d, apriori.Options{AbsSupport: 5, MaxK: k})
 	if err != nil {
@@ -245,7 +229,7 @@ func buildTree(d *db.Database, k int, cands []itemset.Itemset) (*hashtree.Tree, 
 // fastest repetition: the minimum is far less noisy than one sample on a
 // shared host, which is what makes the -against regression gate usable in
 // CI.
-func bestOf3(name, engine string, fn func(b *testing.B)) result {
+func bestOf3(name string, fn func(b *testing.B)) result {
 	var best result
 	for try := 0; try < 3; try++ {
 		br := testing.Benchmark(func(b *testing.B) {
@@ -254,7 +238,6 @@ func bestOf3(name, engine string, fn func(b *testing.B)) result {
 		})
 		r := result{
 			Name:        name,
-			Engine:      engine,
 			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
 			AllocsPerOp: br.AllocsPerOp(),
 			BytesPerOp:  br.AllocedBytesPerOp(),
@@ -274,12 +257,8 @@ func main() {
 	against := flag.String("against", "", "committed kernel snapshot to gate against (>10% regression fails)")
 	outofcore := flag.Bool("outofcore", false, "also run the out-of-core prefetch-overlap rows (sync vs double-buffered segmented mining)")
 	nsTol := flag.Float64("nstol", 10, "ns/op regression tolerance percent for -against, after host-scale normalization (0 disables the timing gate; allocs are always gated at 10%)")
-	engineSel := flag.String("engine", "all", "counting engines to benchmark: all | hashtree | vbit (the committed snapshot holds all, so -against needs all)")
 	planner := flag.Bool("planner", false, "also run the planner-decision rows (cost-based plan vs measured full-run walls on the reference workloads)")
 	flag.Parse()
-	if *engineSel != "all" && *engineSel != "hashtree" && *engineSel != "vbit" {
-		fatal(fmt.Errorf("unknown -engine %q (want all, hashtree or vbit)", *engineSel))
-	}
 
 	if *scaling {
 		if *out == "BENCH_counting.json" {
@@ -298,35 +277,33 @@ func main() {
 	const k = 3
 
 	rep := report{host: thisHost(), TxPerOp: d.Len(), K: k}
-	if *engineSel != "vbit" {
-		cands, err := kCandidates(d, k)
-		if err != nil {
-			fatal(err)
-		}
-		tree, err := buildTree(d, k, cands)
-		if err != nil {
-			fatal(err)
-		}
-		for _, mode := range []hashtree.CounterMode{
-			hashtree.CounterLocked, hashtree.CounterAtomic, hashtree.CounterPrivate,
-		} {
-			name := "CountKernel/" + mode.String()
-			counters := hashtree.NewCounters(mode, tree.NumCandidates(), 1)
-			ctx := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: true})
-			best := bestOf3(name, "hashtree", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for t := 0; t < d.Len(); t++ {
-						ctx.CountTransaction(d.Items(t))
-					}
+	cands, err := kCandidates(d, k)
+	if err != nil {
+		fatal(err)
+	}
+	tree, err := buildTree(d, k, cands)
+	if err != nil {
+		fatal(err)
+	}
+	for _, mode := range []hashtree.CounterMode{
+		hashtree.CounterLocked, hashtree.CounterAtomic, hashtree.CounterPrivate,
+	} {
+		name := "CountKernel/" + mode.String()
+		counters := hashtree.NewCounters(mode, tree.NumCandidates(), 1)
+		ctx := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: true})
+		best := bestOf3(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for t := 0; t < d.Len(); t++ {
+					ctx.CountTransaction(d.Items(t))
 				}
-			})
-			rep.Results = append(rep.Results, best)
-			fmt.Printf("%-32s %12.0f ns/op %6d allocs/op\n",
-				name, best.NsPerOp, best.AllocsPerOp)
-		}
+			}
+		})
+		rep.Results = append(rep.Results, best)
+		fmt.Printf("%-32s %12.0f ns/op %6d allocs/op\n",
+			name, best.NsPerOp, best.AllocsPerOp)
 	}
 
-	if err := runEngineRows(&rep, *dsize, k, *engineSel); err != nil {
+	if err := runEngineRows(&rep, *dsize, k); err != nil {
 		fatal(err)
 	}
 	if *outofcore {
@@ -351,18 +328,16 @@ func main() {
 		}
 		fmt.Printf("no kernel regression vs %s\n", *against)
 	}
-	if v := rep.EngineVerdict; v != nil && !v.Pass {
-		fatal(fmt.Errorf("engine verdict failed: vbit %.0f ns/op vs hashtree %.0f ns/op on the dense dataset — the vertical engine must win there",
-			v.DenseVBitNs, v.DenseHashtreeNs))
-	}
 	if v := rep.OutOfCore; v != nil && !v.Verdict.Pass {
 		fatal(fmt.Errorf("out-of-core verdict failed: overlapped %.1fms (stall %.0f%%) vs sync %.1fms (stall %.0f%%) — double-buffering must win",
 			float64(v.Verdict.OverlapWallNs)/1e6, 100*v.Verdict.OverlapStallFrac,
 			float64(v.Verdict.SyncWallNs)/1e6, 100*v.Verdict.SyncStallFrac))
 	}
 	if p := rep.Planner; p != nil && !p.Verdict.Pass {
-		fatal(fmt.Errorf("planner verdict failed: dense planned %s/measured %s, sparse planned %s/measured %s — the planner must pick the measured-faster engine",
+		dense := p.Rows[0]
+		fatal(fmt.Errorf("planner verdict failed: dense planned %s/measured %s (ccpd %.1fms, vbit %.1fms), sparse planned %s/measured %s — the planner must pick the measured-faster engine, and vbit must win on the dense workload",
 			p.Verdict.DensePlanned, p.Verdict.DenseMeasured,
+			float64(dense.CcpdWallNs)/1e6, float64(dense.VbitWallNs)/1e6,
 			p.Verdict.SparsePlanned, p.Verdict.SparseMeasured))
 	}
 }
@@ -374,7 +349,8 @@ func main() {
 // choice was the measured-faster engine. Both reference densities sit on the
 // vbit side of the crossover, so a planner that drifts into picking the
 // horizontal engine there — a mis-tuned crossover, a broken feasibility
-// check — fails the verdict.
+// check — fails the verdict, and so does a vbit that stops beating ccpd on
+// the dense workload.
 func runPlannerRows(rep *report, dsize int) error {
 	workloads := []struct {
 		label string
@@ -440,13 +416,14 @@ func runPlannerRows(rep *report, dsize int) error {
 	v := &sec.Verdict
 	v.DensePlanned, v.DenseMeasured = sec.Rows[0].PlannedEngine, sec.Rows[0].MeasuredWinner
 	v.SparsePlanned, v.SparseMeasured = sec.Rows[1].PlannedEngine, sec.Rows[1].MeasuredWinner
-	v.Pass = sec.Rows[0].Agree && sec.Rows[1].Agree
+	v.DenseVBitFaster = sec.Rows[0].VbitWallNs < sec.Rows[0].CcpdWallNs
+	v.Pass = sec.Rows[0].Agree && sec.Rows[1].Agree && v.DenseVBitFaster
 	rep.Planner = sec
 	status := "pass"
 	if !v.Pass {
 		status = "FAIL"
 	}
-	fmt.Printf("planner verdict: %s\n", status)
+	fmt.Printf("planner verdict: %s (dense vbit faster: %v)\n", status, v.DenseVBitFaster)
 	return nil
 }
 
@@ -552,28 +529,24 @@ func runOutOfCore(rep *report, dsize int) error {
 	return nil
 }
 
-// maxEngineCands caps the candidate list the engine-comparison rows count:
-// the dense small-universe dataset joins thousands of frequent pairs, and
-// the comparison needs identical bounded work per op, not an exhaustive C3.
+// maxEngineCands caps the candidate list the EngineKernel rows count: the
+// dense small-universe dataset joins thousands of frequent pairs, and a
+// kernel row needs bounded work per op, not an exhaustive C3.
 const maxEngineCands = 4096
 
-// runEngineRows benchmarks the same support-counting job — every k-candidate
-// counted against the whole database — through the hash-tree kernel and the
-// vertical popcount kernel, on a dense (small universe: every column a
-// bitmap) and a sparse (paper-default universe: every column a tidlist)
-// dataset. When both engines run, the dense pair becomes the engine verdict:
-// vbit must beat the hash tree there.
-func runEngineRows(rep *report, dsize, k int, engine string) error {
+// runEngineRows benchmarks the hash-tree kernel counting every k-candidate
+// against the whole database, on a dense (small universe) and a sparse
+// (paper-default universe) dataset.
+func runEngineRows(rep *report, dsize, k int) error {
 	specs := []struct {
 		label string
 		p     gen.Params
 	}{
-		// T12 over 60 items: density 0.2, far above the 1/64 bitmap cutoff.
+		// T12 over 60 items: density 0.2.
 		{"dense", gen.Params{N: 60, L: 30, T: 12, I: 4, D: dsize, Seed: 1}},
-		// The paper-default universe: density 0.01, every column a tidlist.
+		// The paper-default universe: density 0.01.
 		{"sparse", gen.Params{T: 10, I: 4, D: dsize, Seed: 1}},
 	}
-	ns := map[string]float64{} // label/engine → best ns/op
 	for _, spec := range specs {
 		d, err := gen.Generate(spec.p)
 		if err != nil {
@@ -586,57 +559,23 @@ func runEngineRows(rep *report, dsize, k int, engine string) error {
 		if len(cands) > maxEngineCands {
 			cands = cands[:maxEngineCands]
 		}
-		if engine != "vbit" {
-			tree, err := buildTree(d, k, cands)
-			if err != nil {
-				return err
+		tree, err := buildTree(d, k, cands)
+		if err != nil {
+			return err
+		}
+		counters := hashtree.NewCounters(hashtree.CounterPrivate, tree.NumCandidates(), 1)
+		ctx := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: true})
+		name := "EngineKernel/" + spec.label + "/hashtree"
+		best := bestOf3(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for t := 0; t < d.Len(); t++ {
+					ctx.CountTransaction(d.Items(t))
+				}
 			}
-			counters := hashtree.NewCounters(hashtree.CounterPrivate, tree.NumCandidates(), 1)
-			ctx := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: true})
-			name := "EngineKernel/" + spec.label + "/hashtree"
-			best := bestOf3(name, "hashtree", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for t := 0; t < d.Len(); t++ {
-						ctx.CountTransaction(d.Items(t))
-					}
-				}
-			})
-			ns[spec.label+"/hashtree"] = best.NsPerOp
-			rep.Results = append(rep.Results, best)
-			fmt.Printf("%-32s %12.0f ns/op %6d allocs/op (%d candidates)\n",
-				name, best.NsPerOp, best.AllocsPerOp, len(cands))
-		}
-		if engine != "hashtree" {
-			lay := vbit.NewLayout(d, 0)
-			scr := lay.NewScratch()
-			outSup := make([]int64, len(cands))
-			name := "EngineKernel/" + spec.label + "/vbit"
-			best := bestOf3(name, "vbit", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					lay.CountCandidates(scr, cands, outSup)
-				}
-			})
-			ns[spec.label+"/vbit"] = best.NsPerOp
-			rep.Results = append(rep.Results, best)
-			fmt.Printf("%-32s %12.0f ns/op %6d allocs/op (%d bitmap / %d tidlist cols)\n",
-				name, best.NsPerOp, best.AllocsPerOp, lay.DenseItems(), lay.SparseItems())
-		}
-	}
-	if engine == "all" {
-		v := &engineVerdict{
-			DenseHashtreeNs:  ns["dense/hashtree"],
-			DenseVBitNs:      ns["dense/vbit"],
-			SparseHashtreeNs: ns["sparse/hashtree"],
-			SparseVBitNs:     ns["sparse/vbit"],
-		}
-		v.Pass = v.DenseVBitNs > 0 && v.DenseVBitNs < v.DenseHashtreeNs
-		rep.EngineVerdict = v
-		status := "pass"
-		if !v.Pass {
-			status = "FAIL"
-		}
-		fmt.Printf("engine verdict: %s (dense vbit %.0f ns/op vs hashtree %.0f; sparse vbit %.0f vs hashtree %.0f)\n",
-			status, v.DenseVBitNs, v.DenseHashtreeNs, v.SparseVBitNs, v.SparseHashtreeNs)
+		})
+		rep.Results = append(rep.Results, best)
+		fmt.Printf("%-32s %12.0f ns/op %6d allocs/op (%d candidates)\n",
+			name, best.NsPerOp, best.AllocsPerOp, len(cands))
 	}
 	return nil
 }

@@ -170,9 +170,11 @@ func TestSegmentedResidueLoads(t *testing.T) {
 
 // FuzzMineVsApriori mines small databases with Options.Project, so every
 // pass from k=4 on reads a residue, against sequential Apriori. Each row is
-// four bytes, ANDed in pairs into a mask over 16 items (about four items a
+// four bytes, ANDed in pairs into a mask over 12 items (about three items a
 // row); flags pick the worker count (1 or 3), the partition (block or
-// stealing, 8-row chunks) and MaxK (0 or 3).
+// stealing, 8-row chunks) and MaxK (0 or 3). At most 300 rows over 12
+// items bound an input at 4,095 frequent itemsets, which both level-wise
+// sides mine in milliseconds.
 func FuzzMineVsApriori(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, rows := range []int{7, 8, 9, 64, 300} {
@@ -182,13 +184,13 @@ func FuzzMineVsApriori(f *testing.F) {
 	}
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, minCount, flags uint8) {
-		if len(data) > 2400 {
-			data = data[:2400]
+		if len(data) > 1200 {
+			data = data[:1200]
 		}
-		d := db.New(16)
+		d := db.New(12)
 		for r := 0; r+3 < len(data); r += 4 {
 			var row itemset.Itemset
-			m := uint16(data[r]&data[r+1]) | uint16(data[r+2]&data[r+3])<<8
+			m := (uint16(data[r]&data[r+1]) | uint16(data[r+2]&data[r+3])<<8) & (1<<12 - 1)
 			for it := 0; m != 0; it, m = it+1, m>>1 {
 				if m&1 != 0 {
 					row = append(row, itemset.Item(it))

@@ -19,12 +19,50 @@ import (
 	"repro/internal/vbit"
 )
 
+// DBStats are the O(1) aggregate statistics the planner decides on — the
+// same shape internal/gen parameterizes its synthetic workloads with:
+// transaction count D, item universe N, mean transaction length T, and the
+// density T/N (the probability a random item appears in a random row).
+type DBStats struct {
+	Transactions int
+	NumItems     int
+	AvgLen       float64
+	Density      float64
+}
+
+// dbStats derives the statistics from the stored totals (no scan).
+func dbStats(numTx, numItems int, totalItems int64) DBStats {
+	s := DBStats{Transactions: numTx, NumItems: numItems}
+	if numTx > 0 {
+		s.AvgLen = float64(totalItems) / float64(numTx)
+	}
+	if numItems > 0 {
+		s.Density = s.AvgLen / float64(numItems)
+	}
+	return s
+}
+
+// DefaultCrossoverDensity is the density at which the vertical engine
+// starts beating the horizontal hash-tree engine, and the -algo auto
+// default. It comes from the two cost models: a vertical pair probe costs
+// about D/64 word ops when columns are bitmaps, or ~2·density·D tid ops as
+// tidlists, while the hash tree pays per transaction-row regardless of the
+// probed pair's density — its per-pair share only amortizes when rows are
+// long. Below about one occurrence per 128 universe items the vertical
+// columns are so sparse that even the tidlist path degenerates to pointer
+// chasing over near-empty lists while the hash tree still streams the
+// whole database once per iteration, and the hash tree wins; above it the
+// vertical engine's popcount kernels win. The density-sweep experiment
+// (cmd/experiments -sweep density) reproduces this crossover from the
+// deterministic work models; adjust the constant if the sweep moves.
+const DefaultCrossoverDensity = 1.0 / 128
+
 // DBInfo is everything the planner knows about a database: the O(1)
-// aggregate statistics the density-based selector already used, plus a
-// transaction-length skew measurement and, for segmented stores, the store
-// geometry the out-of-core cost terms need.
+// aggregate statistics, plus a transaction-length skew measurement and,
+// for segmented stores, the store geometry the out-of-core cost terms
+// need.
 type DBInfo struct {
-	vbit.DBStats
+	DBStats
 	// TotalItems is the total item-occurrence count (= Transactions·AvgLen);
 	// it is the unit of horizontal counting work.
 	TotalItems int64
@@ -45,7 +83,7 @@ type DBInfo struct {
 // O(1) reads of stored totals; the skew terms take one pass over the
 // transaction-length offsets (no item data is touched).
 func Characterize(d *db.Database) DBInfo {
-	info := DBInfo{DBStats: vbit.Characterize(d), TotalItems: d.TotalItems()}
+	info := DBInfo{DBStats: dbStats(d.Len(), d.NumItems(), d.TotalItems()), TotalItems: d.TotalItems()}
 	cut := 2 * info.AvgLen
 	var tailItems int64
 	tailTx := 0
@@ -106,21 +144,13 @@ func CharacterizeReader(r *seg.Reader) (DBInfo, error) {
 // storeInfo is a store's DBInfo without the skew terms: header and
 // directory reads only, no segment load.
 func storeInfo(r *seg.Reader) DBInfo {
-	info := DBInfo{
+	return DBInfo{
+		DBStats:         dbStats(int(r.NumTx()), r.NumItems(), r.TotalItems()), //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
 		Segmented:       true,
 		NumSegments:     r.NumSegments(),
 		MaxSegmentBytes: r.MaxSegmentBytes(),
 		TotalItems:      r.TotalItems(),
 	}
-	info.Transactions = int(r.NumTx()) //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
-	info.NumItems = r.NumItems()
-	if n := r.NumTx(); n > 0 {
-		info.AvgLen = float64(r.TotalItems()) / float64(n)
-	}
-	if info.NumItems > 0 {
-		info.Density = info.AvgLen / float64(info.NumItems)
-	}
-	return info
 }
 
 // Estimate is one candidate engine's projected cost and memory footprint —
@@ -170,7 +200,7 @@ func (p Plan) String() string {
 
 // Planner holds the selection policy knobs. The zero value uses the
 // calibrated defaults; construct with struct literals. The vertical engine
-// is chosen at and above vbit.DefaultCrossoverDensity, calibrated by the
+// is chosen at and above DefaultCrossoverDensity, calibrated by the
 // density-sweep experiment.
 type Planner struct {
 	// Procs is the worker count the partition model schedules for (default 4).
@@ -255,7 +285,7 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	vcost := int64(0)
 	feasibleV := info.Transactions > 0 && info.NumItems > 0 && info.Density > 0
 	if feasibleV {
-		vcost = int64(float64(hcost) * (vbit.DefaultCrossoverDensity / info.Density))
+		vcost = int64(float64(hcost) * (DefaultCrossoverDensity / info.Density))
 	}
 	vbitEst := Estimate{
 		Engine: "vbit", Cost: vcost, ArenaBytes: VBitArenaBytes(info),
@@ -277,12 +307,12 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	case !vbitEst.Feasible:
 		p.Engine = "ccpd"
 		p.Reason = "vbit infeasible: " + vbitEst.Note
-	case info.Density >= vbit.DefaultCrossoverDensity:
+	case info.Density >= DefaultCrossoverDensity:
 		p.Engine = "vbit"
-		p.Reason = fmt.Sprintf("density %.4f at or above crossover %.4f", info.Density, vbit.DefaultCrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f at or above crossover %.4f", info.Density, DefaultCrossoverDensity)
 	default:
 		p.Engine = "ccpd"
-		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, vbit.DefaultCrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, DefaultCrossoverDensity)
 	}
 	p.MemBudget = pl.MemBudget
 

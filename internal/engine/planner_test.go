@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/ccpd"
+	"repro/internal/db"
 	"repro/internal/db/seg"
 	"repro/internal/gen"
-	"repro/internal/vbit"
+	"repro/internal/itemset"
 )
 
 // workloadShapes are the internal/gen reference shapes the planner goldens
@@ -30,6 +31,23 @@ var workloadShapes = map[string]gen.Params{
 type plannedChoice struct {
 	engine string
 	dbpart ccpd.DBPartition
+}
+
+func TestCharacterize(t *testing.T) {
+	d := db.New(100)
+	for i := 0; i < 50; i++ {
+		d.Append(int64(i), itemset.New(0, 1, 2, 3, 4))
+	}
+	s := Characterize(d).DBStats
+	if s.Transactions != 50 || s.NumItems != 100 {
+		t.Errorf("D/N = %d/%d, want 50/100", s.Transactions, s.NumItems)
+	}
+	if s.AvgLen != 5 {
+		t.Errorf("AvgLen = %v, want 5", s.AvgLen)
+	}
+	if s.Density != 0.05 {
+		t.Errorf("Density = %v, want 0.05", s.Density)
+	}
 }
 
 // TestPlannerGoldens pins the planner's decision for each workload shape and
@@ -98,7 +116,7 @@ func assertJustified(t *testing.T, label string, plan Plan) {
 // occurrences plans ccpd.
 func TestPlannerCrossoverAndEmpty(t *testing.T) {
 	at := DBInfo{
-		DBStats:    vbit.DBStats{Transactions: 1000, NumItems: 128, AvgLen: 1, Density: vbit.DefaultCrossoverDensity},
+		DBStats:    DBStats{Transactions: 1000, NumItems: 128, AvgLen: 1, Density: DefaultCrossoverDensity},
 		TotalItems: 1000,
 	}
 	plan := Planner{Procs: 4}.Plan(at)
@@ -214,19 +232,19 @@ func TestPlannerSkewSampling(t *testing.T) {
 // TestVBitArenaBytes pins the arena projection's two regimes against the
 // layout's real materialization rule, and a store's extra decoded segment.
 func TestVBitArenaBytes(t *testing.T) {
-	dense := DBInfo{DBStats: vbit.DBStats{Transactions: 6400, NumItems: 100, AvgLen: 12, Density: 0.12}, TotalItems: 6400 * 12}
+	dense := DBInfo{DBStats: DBStats{Transactions: 6400, NumItems: 100, AvgLen: 12, Density: 0.12}, TotalItems: 6400 * 12}
 	// 6400 tx → 100 words of 8 bytes per bitmap, 100 items.
 	if got, want := VBitArenaBytes(dense), int64(100*100*8); got != want {
 		t.Errorf("dense arena = %d, want %d", got, want)
 	}
-	sparse := DBInfo{DBStats: vbit.DBStats{Transactions: 6400, NumItems: 100000, AvgLen: 10, Density: 0.0001}, TotalItems: 64000}
+	sparse := DBInfo{DBStats: DBStats{Transactions: 6400, NumItems: 100000, AvgLen: 10, Density: 0.0001}, TotalItems: 64000}
 	if got, want := VBitArenaBytes(sparse), int64(64000*4); got != want {
 		t.Errorf("sparse arena = %d, want %d", got, want)
 	}
 	// CI's out-of-core smoke store, T10.I4.D2000 in 256-row segments:
 	// 79,492 B of tidlists plus one 13,760 B segment.
 	smoke := DBInfo{
-		DBStats:    vbit.DBStats{Transactions: 2000, NumItems: 1000, AvgLen: 9.9365, Density: 0.0099365},
+		DBStats:    DBStats{Transactions: 2000, NumItems: 1000, AvgLen: 9.9365, Density: 0.0099365},
 		TotalItems: 19873, Segmented: true, NumSegments: 8, MaxSegmentBytes: 13760,
 	}
 	if got := VBitArenaBytes(smoke); got != 93252 {
@@ -238,7 +256,7 @@ func TestVBitArenaBytes(t *testing.T) {
 // 2³¹ transactions plans ccpd, with vbit infeasible whatever the budget.
 func TestPlannerInt32Tids(t *testing.T) {
 	info := DBInfo{
-		DBStats:    vbit.DBStats{Transactions: 1 << 31, NumItems: 60, AvgLen: 12, Density: 0.2},
+		DBStats:    DBStats{Transactions: 1 << 31, NumItems: 60, AvgLen: 12, Density: 0.2},
 		TotalItems: 12 << 31, Segmented: true, NumSegments: 1 << 15, MaxSegmentBytes: 4 << 20,
 	}
 	plan := Planner{Procs: 4}.Plan(info)

@@ -13,12 +13,11 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/vbit"
 )
 
 // densityUniverses are the item-universe sizes the sweep walks through: at
 // T=10 they span densities from 0.2 (every column a bitmap) down to ~0.003
-// (every column a tidlist), bracketing vbit.DefaultCrossoverDensity = 1/128.
+// (every column a tidlist), bracketing engine.DefaultCrossoverDensity = 1/128.
 var densityUniverses = []int{50, 100, 200, 400, 800, 1600, 3200}
 
 // DensitySweep mines one database per universe size with both the
@@ -104,7 +103,7 @@ func (r *Runner) DensitySweep(w io.Writer) error {
 	}
 	tab.Fprint(w)
 	fmt.Fprintf(w, "\nplanner default crossover: density >= %.4f (1/128) -> vbit\n",
-		vbit.DefaultCrossoverDensity)
+		engine.DefaultCrossoverDensity)
 	if measuredCross >= 0 {
 		fmt.Fprintf(w, "measured on this host: vbit still wins down to density %.4f\n", measuredCross)
 	} else {

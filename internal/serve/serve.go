@@ -126,6 +126,28 @@ func (c Config) withDefaults() Config {
 // are int32, so an id at or past 2³¹ would wrap onto a smaller one.
 const MaxItemLimit = 1 << 31
 
+// Validate rejects a configuration the daemon cannot serve with, for
+// callers that take one from outside the program: an engine the registry
+// does not know (every re-mine would fail and nothing would publish), a
+// Support outside (0, 1] (0 resolves to a minimum count of 1 and mines
+// every itemset that occurs once), a MinConfidence outside [0, 1], or a
+// MaxItem past MaxItemLimit.
+func (c Config) Validate() error {
+	if _, ok := engine.Lookup(c.Engine); !ok && c.Engine != "" && c.Engine != "auto" {
+		return fmt.Errorf("unknown engine %q (want auto or one of %v)", c.Engine, engine.Names())
+	}
+	if !(c.Support > 0 && c.Support <= 1) {
+		return fmt.Errorf("support must be a fraction in (0, 1], got %g", c.Support)
+	}
+	if !(c.MinConfidence >= 0 && c.MinConfidence <= 1) {
+		return fmt.Errorf("confidence must be in [0, 1], got %g", c.MinConfidence)
+	}
+	if c.MaxItem > MaxItemLimit {
+		return fmt.Errorf("max item %d exceeds %d: item ids are int32", c.MaxItem, int64(MaxItemLimit))
+	}
+	return nil
+}
+
 // Server is the daemon state. Construct with New, serve Handler() over
 // HTTP, and run the re-mine loop with Run.
 type Server struct {

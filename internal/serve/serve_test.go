@@ -386,6 +386,42 @@ func TestMaxItemLimit(t *testing.T) {
 	}
 }
 
+// TestConfigValidate pins the configurations the daemon refuses at
+// startup: each would start, answer /healthz, and then either never
+// publish (an unknown engine fails every re-mine) or mine something no
+// caller asked for (support 0 resolves to a minimum count of 1).
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name  string
+		tweak func(c *Config)
+		ok    bool
+	}{
+		{"defaults", func(c *Config) {}, true},
+		{"engine unset", func(c *Config) { c.Engine = "" }, true},
+		{"engine auto", func(c *Config) { c.Engine = "auto" }, true},
+		{"engine vbit", func(c *Config) { c.Engine = "vbit" }, true},
+		{"engine unknown", func(c *Config) { c.Engine = "nope" }, false},
+		{"support one", func(c *Config) { c.Support = 1 }, true},
+		{"support zero", func(c *Config) { c.Support = 0 }, false},
+		{"support negative", func(c *Config) { c.Support = -0.1 }, false},
+		{"support above one", func(c *Config) { c.Support = 1.5 }, false},
+		{"support NaN", func(c *Config) { c.Support = math.NaN() }, false},
+		{"confidence zero", func(c *Config) { c.MinConfidence = 0 }, true},
+		{"confidence one", func(c *Config) { c.MinConfidence = 1 }, true},
+		{"confidence negative", func(c *Config) { c.MinConfidence = -0.5 }, false},
+		{"confidence above one", func(c *Config) { c.MinConfidence = 1.5 }, false},
+		{"max item at limit", func(c *Config) { c.MaxItem = MaxItemLimit }, true},
+		{"max item past limit", func(c *Config) { c.MaxItem = MaxItemLimit + 1 }, false},
+	}
+	for _, tc := range cases {
+		c := testConfig()
+		tc.tweak(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestQueryRulesItemRange pins the query side below the HTTP layer: an id
 // past the int32 range matches no rule instead of wrapping onto a small
 // one.

@@ -1,15 +1,14 @@
-// Package vbit is the word-parallel vertical mining engine (ROADMAP item
-// 2): per-item TID bitmaps packed into []uint64 words, support counting by
-// popcount (math/bits.OnesCount64, a single hardware instruction on every
-// target we care about), diffsets (dEclat) below the first level to cut
-// memory traffic, and per-equivalence-class DFS tasks scheduled on the
-// shared sched.Pool. Items too sparse to justify a bitmap fall back to the
-// sorted tidlists the eclat package has always used, so one mixed-
-// representation engine covers both ends of the density spectrum.
+// Package vbit is the word-parallel vertical mining engine: per-item TID
+// bitmaps packed into []uint64 words, support counting by popcount
+// (math/bits.OnesCount64, a single hardware instruction on every target we
+// care about), diffsets (dEclat) below the first level to cut memory
+// traffic, and per-equivalence-class DFS tasks scheduled on the shared
+// sched.Pool. Items too sparse to justify a bitmap fall back to the sorted
+// tidlists the eclat package has always used, so one mixed-representation
+// engine covers both ends of the density spectrum.
 //
-// This file holds the counting kernels. They are the vertical engine's
-// analogue of hashtree.CountCtx.CountTransaction: the innermost loops that
-// every candidate's support funnels through, so each is annotated
+// This file holds the kernels the class DFS runs: the innermost loops of
+// every diffset, projection and column fill, so each is annotated
 // //armlint:noalloc (statically allocation-free — see internal/lint) and
 // writes through caller-provided destination slices with explicit indices
 // instead of append. Every kernel's cost in deterministic work units is the
@@ -29,52 +28,13 @@ import "math/bits"
 // one 64-bit AND+popcount over a word, or one tidlist element touch during
 // a merge. A bitmap pair-intersection over D transactions costs D/64
 // WorkWordOp against a tidlist merge's ~2·density·D WorkTidOp — the factor
-// behind DefaultCrossoverDensity (select.go), the density at which
+// behind engine.DefaultCrossoverDensity, the density at which
 // engine.Planner starts choosing this engine.
 const (
 	WorkWordOp   = 1 // one 64-bit word AND/ANDNOT + popcount
 	WorkTidOp    = 1 // one tidlist element compared or copied
 	WorkItemScan = 1 // one item visited while materializing the layout
 )
-
-// AndCount returns |a ∩ b| for two equal-length bitmaps without writing the
-// intersection anywhere — the pure support probe.
-//
-//armlint:noalloc
-func AndCount(a, b []uint64) int64 {
-	var n int
-	for i := range a {
-		n += bits.OnesCount64(a[i] & b[i])
-	}
-	return int64(n)
-}
-
-// AndCount3 returns |a ∩ b ∩ c|, fusing the two ANDs with the popcount so
-// a 3-candidate support probe makes one pass with no intermediate bitmap —
-// the kernel the dense-engine benchmarks exercise.
-//
-//armlint:noalloc
-func AndCount3(a, b, c []uint64) int64 {
-	var n int
-	for i := range a {
-		n += bits.OnesCount64(a[i] & b[i] & c[i])
-	}
-	return int64(n)
-}
-
-// AndInto writes a ∩ b into dst (len(dst) ≥ len(a) == len(b)) and returns
-// the intersection's cardinality. dst may alias a or b.
-//
-//armlint:noalloc
-func AndInto(dst, a, b []uint64) int64 {
-	var n int
-	for i := range a {
-		w := a[i] & b[i]
-		dst[i] = w
-		n += bits.OnesCount64(w)
-	}
-	return int64(n)
-}
 
 // AndNotInto writes a \ b (a AND NOT b) into dst and returns its
 // cardinality — the bitmap diffset kernel. dst may alias a or b.
@@ -88,24 +48,6 @@ func AndNotInto(dst, a, b []uint64) int64 {
 		n += bits.OnesCount64(w)
 	}
 	return int64(n)
-}
-
-// PopCount returns the number of set bits in the bitmap.
-//
-//armlint:noalloc
-func PopCount(a []uint64) int64 {
-	var n int
-	for i := range a {
-		n += bits.OnesCount64(a[i])
-	}
-	return int64(n)
-}
-
-// Bit reports whether tid's bit is set.
-//
-//armlint:noalloc
-func Bit(words []uint64, tid int32) bool {
-	return words[tid>>6]&(1<<uint(tid&63)) != 0
 }
 
 // SetBit sets tid's bit.
@@ -245,16 +187,15 @@ func ProjectListInto(dst []int32, src, mask []uint64, cum []int32) int {
 	return n
 }
 
-// FilterInto writes into dst the entries of list whose bit in words matches
-// keep (true: members, i.e. list ∩ bitmap; false: non-members, i.e.
-// list \ bitmap) and returns the count. dst may alias list; len(dst) ≥
-// len(list).
+// FilterInto writes into dst the entries of list whose bit in words is
+// clear (list \ bitmap, the mixed-representation diffset kernel) and
+// returns the count. dst may alias list; len(dst) ≥ len(list).
 //
 //armlint:noalloc
-func FilterInto(dst, list []int32, words []uint64, keep bool) int {
+func FilterInto(dst, list []int32, words []uint64) int {
 	n := 0
 	for _, tid := range list {
-		if (words[tid>>6]&(1<<uint(tid&63)) != 0) == keep {
+		if words[tid>>6]&(1<<uint(tid&63)) == 0 {
 			dst[n] = tid
 			n++
 		}

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// bit reports whether tid's bit is set in words.
+func bit(words []uint64, tid int32) bool { return words[tid>>6]&(1<<uint(tid&63)) != 0 }
+
 // randBitmap returns a bitmap over n tids with roughly density d, plus the
 // equivalent sorted tidlist.
 func randBitmap(rng *rand.Rand, n int, d float64) ([]uint64, []int32) {
@@ -29,25 +32,16 @@ func TestKernelsAgainstReference(t *testing.T) {
 		inter := map[int32]bool{}
 		diff := map[int32]bool{}
 		for _, tid := range al {
-			if Bit(bw, tid) {
+			if bit(bw, tid) {
 				inter[tid] = true
 			} else {
 				diff[tid] = true
 			}
 		}
 
-		if got := AndCount(aw, bw); got != int64(len(inter)) {
-			t.Fatalf("trial %d: AndCount = %d, want %d", trial, got, len(inter))
-		}
 		dst := make([]uint64, len(aw))
-		if got := AndInto(dst, aw, bw); got != int64(len(inter)) {
-			t.Fatalf("trial %d: AndInto card = %d, want %d", trial, got, len(inter))
-		}
 		if got := AndNotInto(dst, aw, bw); got != int64(len(diff)) {
 			t.Fatalf("trial %d: AndNotInto card = %d, want %d", trial, got, len(diff))
-		}
-		if got := PopCount(aw); got != int64(len(al)) {
-			t.Fatalf("trial %d: PopCount = %d, want %d", trial, got, len(al))
 		}
 
 		// Extraction round-trips the diff bitmap into a sorted tidlist.
@@ -70,11 +64,8 @@ func TestKernelsAgainstReference(t *testing.T) {
 		if got := DiffInto(out, al, bl); got != len(diff) {
 			t.Fatalf("trial %d: DiffInto = %d, want %d", trial, got, len(diff))
 		}
-		if got := FilterInto(out, al, bw, true); got != len(inter) {
-			t.Fatalf("trial %d: FilterInto keep = %d, want %d", trial, got, len(inter))
-		}
-		if got := FilterInto(out, al, bw, false); got != len(diff) {
-			t.Fatalf("trial %d: FilterInto drop = %d, want %d", trial, got, len(diff))
+		if got := FilterInto(out, al, bw); got != len(diff) {
+			t.Fatalf("trial %d: FilterInto = %d, want %d", trial, got, len(diff))
 		}
 
 		// ClearList(a, b∩a-list) drops exactly the intersection.
@@ -83,26 +74,15 @@ func TestKernelsAgainstReference(t *testing.T) {
 		if got := ClearList(cp, bl); got != int64(len(inter)) {
 			t.Fatalf("trial %d: ClearList = %d, want %d", trial, got, len(inter))
 		}
-		if got := PopCount(cp); got != int64(len(al)-len(inter)) {
+		if got := ExtractInto(ext, cp); got != len(al)-len(inter) {
 			t.Fatalf("trial %d: ClearList residue = %d, want %d", trial, got, len(al)-len(inter))
-		}
-
-		cw, _ := randBitmap(rng, n, rng.Float64())
-		want3 := int64(0)
-		for _, tid := range al {
-			if Bit(bw, tid) && Bit(cw, tid) {
-				want3++
-			}
-		}
-		if got := AndCount3(aw, bw, cw); got != want3 {
-			t.Fatalf("trial %d: AndCount3 = %d, want %d", trial, got, want3)
 		}
 	}
 }
 
 func TestKernelsEmpty(t *testing.T) {
 	// Zero-length bitmaps and tidlists (an empty database) must no-op.
-	if AndCount(nil, nil) != 0 || PopCount(nil) != 0 || AndCount3(nil, nil, nil) != 0 {
+	if AndNotInto(nil, nil, nil) != 0 || ExtractInto(nil, nil) != 0 {
 		t.Fatal("empty bitmap kernels returned nonzero")
 	}
 	if IntersectInto(nil, nil, nil) != 0 || DiffInto(nil, nil, nil) != 0 {
@@ -111,21 +91,16 @@ func TestKernelsEmpty(t *testing.T) {
 }
 
 // TestKernelAllocs is the runtime face of the armlint noalloc gate: every
-// counting kernel, and the Layout candidate-support path above them, runs
-// with zero allocations per op once the scratch buffers exist.
+// kernel runs with zero allocations per op once the scratch buffers exist.
 func TestKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 1024
 	aw, al := randBitmap(rng, n, 0.3)
 	bw, bl := randBitmap(rng, n, 0.3)
-	cw, _ := randBitmap(rng, n, 0.3)
 	dst := make([]uint64, len(aw))
 	out := make([]int32, n)
 	var sink int64
 	cases := map[string]func(){
-		"AndCount":    func() { sink += AndCount(aw, bw) },
-		"AndCount3":   func() { sink += AndCount3(aw, bw, cw) },
-		"AndInto":     func() { sink += AndInto(dst, aw, bw) },
 		"AndNotInto":  func() { sink += AndNotInto(dst, aw, bw) },
 		"ExtractInto": func() { sink += int64(ExtractInto(out, aw)) },
 		"IntersectInto": func() {
@@ -133,7 +108,7 @@ func TestKernelAllocs(t *testing.T) {
 		},
 		"DiffInto": func() { sink += int64(DiffInto(out, al, bl)) },
 		"FilterInto": func() {
-			sink += int64(FilterInto(out, al, bw, true))
+			sink += int64(FilterInto(out, al, bw))
 		},
 	}
 	for name, fn := range cases {

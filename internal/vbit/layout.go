@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/db"
-	"repro/internal/itemset"
 )
 
 // DefaultDensityCutoff is the item density below which the vertical layout
@@ -39,7 +38,6 @@ type Layout struct {
 	Words  int     // ⌈NumTx/64⌉ words per bitmap
 	Cutoff float64 // density threshold that classified the columns
 
-	sups []int64 // per-item support, for every item in [0, NumItems)
 	sets []set
 	// listMax is the longest stored tidlist — the scratch size tidlist
 	// kernels need on top of the Words-sized bitmap scratch.
@@ -94,28 +92,6 @@ func (l *Layout) release() {
 	l.wordArena, l.listArena, l.sets = nil, nil, nil
 }
 
-// NewLayout materializes the vertical layout for every item that occurs at
-// least once, using the default density cutoff when cutoff <= 0.
-func NewLayout(d *db.Database, cutoff float64) *Layout {
-	sups := make([]int64, d.NumItems())
-	//armlint:allow ctxpoll single bounded support-count pass over the database; cancellation is observed at the next phase boundary
-	for t := 0; t < d.Len(); t++ {
-		for _, it := range d.Items(t) {
-			sups[it]++
-		}
-	}
-	return FromCounts(d, cutoff, 1, sups)
-}
-
-// FromCounts builds the layout of d from precomputed per-item supports (the
-// engine's parallel F1 phase already has them; recounting would double the
-// scan). sups must have one entry per item in [0, d.NumItems()).
-func FromCounts(d *db.Database, cutoff float64, minCount int64, sups []int64) *Layout {
-	l := newLayout(d.Len(), d.NumItems(), cutoff, minCount, sups)
-	l.fill(0, d)
-	return l
-}
-
 // newLayout sizes the columns of a layout over nTx transactions, storing
 // columns only for items with support >= minCount (the engine never probes
 // an infrequent column, so materializing it would be wasted arena). The
@@ -131,7 +107,6 @@ func newLayout(nTx, numItems int, cutoff float64, minCount int64, sups []int64) 
 		NumTx:  nTx,
 		Words:  (nTx + 63) / 64,
 		Cutoff: cutoff,
-		sups:   sups,
 		sets:   make([]set, numItems),
 	}
 	// Classify columns and size the two arenas. An item is dense when its
@@ -196,25 +171,28 @@ func (l *Layout) fill(base int, sd *db.Database) {
 	}
 }
 
-// Support returns the support of a single item (0 for items outside the
-// materialized universe).
-func (l *Layout) Support(it itemset.Item) int64 {
-	if int(it) >= len(l.sups) {
-		return 0
-	}
-	return l.sups[it]
+// Scratch is a DFS task's working memory for the kernels: one bitmap of
+// Layout.Words words and one tidlist buffer big enough for any stored
+// column. One Scratch per worker; kernels never allocate.
+type Scratch struct {
+	Words []uint64 //armlint:hot
+	A     []int32  //armlint:hot
 }
 
-// ItemWords returns item's bitmap column, nil when the item is stored as a
-// tidlist (or not stored at all).
-func (l *Layout) ItemWords(it itemset.Item) []uint64 { return l.sets[it].words }
-
-// ItemList returns item's tidlist column, nil when the item is stored as a
-// bitmap (or not stored at all).
-func (l *Layout) ItemList(it itemset.Item) []int32 { return l.sets[it].list }
-
-// DenseItems returns how many columns are bitmaps.
-func (l *Layout) DenseItems() int { return l.denseItems }
-
-// SparseItems returns how many columns are tidlists.
-func (l *Layout) SparseItems() int { return l.sparseItems }
+// NewScratch sizes a scratch set for this layout. The tidlist buffer is
+// bounded by the longest stored list or by one tid per bitmap word (the
+// switch-over rule, keepBitmap, only demotes bitmaps of fewer than
+// Words/listWords tids).
+func (l *Layout) NewScratch() *Scratch {
+	n := l.listMax
+	if l.Words > n {
+		n = l.Words
+	}
+	if l.NumTx < n {
+		n = l.NumTx
+	}
+	return &Scratch{
+		Words: make([]uint64, l.Words),
+		A:     make([]int32, n),
+	}
+}

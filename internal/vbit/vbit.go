@@ -795,7 +795,7 @@ func (t *task) diffInto(x, y set) (card int64, words bool, n int) {
 		t.work += int64(t.width)*WorkWordOp + int64(len(y.list))*WorkTidOp
 		return x.card - cleared, true, 0
 	case y.dense():
-		n = FilterInto(t.scr.A, x.list, y.words, false)
+		n = FilterInto(t.scr.A, x.list, y.words)
 		t.work += int64(len(x.list)) * WorkTidOp
 		return int64(n), false, n
 	default:

@@ -384,19 +384,10 @@ func TestMineReusesArenas(t *testing.T) {
 
 	// The column arenas a released layout hands back carry the next,
 	// longer layout.
-	sups := func(d *db.Database) []int64 {
-		s := make([]int64, d.NumItems())
-		for i := 0; i < d.Len(); i++ {
-			for _, it := range d.Items(i) {
-				s[it]++
-			}
-		}
-		return s
-	}
-	lay := FromCounts(prefix, 0, 10, sups(prefix))
+	lay := layoutAt(prefix, 0, 10)
 	words, list := &lay.wordArena[0], &lay.listArena[0]
 	lay.release()
-	lay = FromCounts(full, 0, 10, sups(full))
+	lay = layoutAt(full, 0, 10)
 	if &lay.wordArena[0] != words || &lay.listArena[0] != list {
 		t.Error("a released layout's arenas were not reused by the next, longer layout")
 	}
