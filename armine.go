@@ -346,8 +346,9 @@ type SegmentedMiner = engine.SegmentedMiner
 // Resumer is a Miner that can continue a checkpointed run.
 type Resumer = engine.Resumer
 
-// EngineCaps are a Miner's capability flags (parallel, cancellation,
-// checkpoint/resume, segmented).
+// EngineCaps are a Miner's capability flags (parallel). Checkpoint resume
+// and the out-of-core path show as the Resumer and SegmentedMiner
+// interfaces instead.
 type EngineCaps = engine.Caps
 
 // EngineSpec is the engine-independent mining request a Miner lowers onto
@@ -392,11 +393,8 @@ type DBStats = engine.DBStats
 func CharacterizePlanner(d *Database) PlannerDBInfo { return engine.Characterize(d) }
 
 // CharacterizePlannerReader computes planner statistics for a segmented
-// store from its header aggregates (exact) and first/last-segment samples
-// (skew).
-func CharacterizePlannerReader(r *SegReader) (PlannerDBInfo, error) {
-	return engine.CharacterizeReader(r)
-}
+// store from its header aggregates (exact); it loads no segment.
+func CharacterizePlannerReader(r *SegReader) PlannerDBInfo { return engine.CharacterizeReader(r) }
 
 // --- Out-of-core mining: segmented columnar stores larger than RAM. ---
 

@@ -4,9 +4,9 @@
 // vertical engines (eclat, vbit) all dispatch through engine.Miner, with
 // every optimization switchable from the command line. The Section 7
 // baselines and the sampling study run outside the registry.
-// -algo auto hands the choice to the cost-based planner, which picks engine,
-// counting partition and chunk size from the database's statistics (density,
-// skew, size) and the -mem-budget.
+// -algo auto hands the choice to the cost-based planner, which picks the
+// engine from the database's stored totals (density, size) and the
+// -mem-budget, and counts with work stealing.
 //
 // Examples:
 //
@@ -279,9 +279,7 @@ func run(o cliOptions) error {
 	if algo == "auto" {
 		var info engine.DBInfo
 		if r != nil {
-			if info, err = engine.CharacterizeReader(r); err != nil {
-				return err
-			}
+			info = engine.CharacterizeReader(r)
 		} else {
 			info = engine.Characterize(d)
 		}
@@ -297,8 +295,8 @@ func run(o cliOptions) error {
 			plan.Reason += "; -chunk given"
 		}
 		spec.DBPart, spec.ChunkSize = plan.DBPart, plan.ChunkSize
-		fmt.Printf("planner: density=%.5f (avg len %.1f over %d items, tail mass %.2f) -> %s\n",
-			info.Density, info.AvgLen, info.NumItems, info.TailMass, plan)
+		fmt.Printf("planner: density=%.5f (avg len %.1f over %d items) -> %s\n",
+			info.Density, info.AvgLen, info.NumItems, plan)
 		if o.Verbose {
 			for _, e := range plan.Estimates {
 				feas := "feasible"

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -117,7 +118,6 @@ type plannerEstimate struct {
 type plannerRow struct {
 	Workload       string            `json:"workload"`
 	Density        float64           `json:"density"`
-	TailMass       float64           `json:"tail_mass"`
 	PlannedEngine  string            `json:"planned_engine"`
 	PlannedDBPart  string            `json:"planned_dbpart"`
 	Reason         string            `json:"reason"`
@@ -369,7 +369,7 @@ func runPlannerRows(rep *report, dsize int) error {
 		info := engine.Characterize(d)
 		plan := engine.Planner{Procs: 4}.Plan(info)
 		row := plannerRow{
-			Workload: wl.label, Density: info.Density, TailMass: info.TailMass,
+			Workload: wl.label, Density: info.Density,
 			PlannedEngine: plan.Engine, PlannedDBPart: plan.DBPart.String(),
 			Reason: plan.Reason,
 		}
@@ -394,7 +394,7 @@ func runPlannerRows(rep *report, dsize int) error {
 					return fmt.Errorf("engine %q not registered", name)
 				}
 				t0 := time.Now()
-				if _, _, err := m.Mine(d, spec); err != nil {
+				if _, _, err := m.MineCtx(context.Background(), d, spec); err != nil {
 					return fmt.Errorf("%s on %s: %w", name, wl.label, err)
 				}
 				if w := time.Since(t0).Nanoseconds(); try == 0 || w < walls[name] {

@@ -10,13 +10,6 @@ import (
 	"repro/internal/itemset"
 )
 
-// Transaction is one row of the basket database: a unique identifier plus a
-// sorted itemset.
-type Transaction struct {
-	TID   int64
-	Items itemset.Itemset
-}
-
 // Database is an in-memory transaction database. Transactions are stored in
 // a single flat item arena with offsets, which keeps the scan phase cache
 // friendly and makes logical partitioning an O(1) slice operation.
@@ -30,20 +23,6 @@ type Database struct {
 // New returns an empty database whose items are drawn from [0, numItems).
 func New(numItems int) *Database {
 	return &Database{offsets: []int32{0}, numItem: numItems}
-}
-
-// FromTransactions builds a database from explicit transactions. Item
-// universe size is inferred as max item + 1 unless numItems is larger.
-// Growth failures (ErrArenaFull) surface as an error naming the offending
-// transaction instead of a panic from deep inside the loop.
-func FromTransactions(ts []Transaction, numItems int) (*Database, error) {
-	d := New(numItems)
-	for i, t := range ts {
-		if err := d.TryAppend(t.TID, t.Items); err != nil {
-			return nil, fmt.Errorf("db: transaction %d (tid %d): %w", i, t.TID, err)
-		}
-	}
-	return d, nil
 }
 
 // FromColumns wraps pre-built columnar storage as a Database without

@@ -7,11 +7,11 @@
 // planner call instead of hand-rolled selection logic per call site.
 //
 // The interface is deliberately the intersection the callers need, not the
-// union of everything each engine can do: Mine/MineCtx returning the shared
+// union of everything each engine can do: MineCtx returning the shared
 // apriori.Result plus normalized Stats, with the optional surfaces
-// (segmented out-of-core mining, checkpoint resume) expressed as capability
-// flags plus narrowing interfaces (SegmentedMiner, Resumer) so a caller can
-// discover support without a type switch per engine.
+// (segmented out-of-core mining, checkpoint resume) expressed as narrowing
+// interfaces (SegmentedMiner, Resumer) so a caller can discover support
+// without a type switch per engine.
 package engine
 
 import (
@@ -31,22 +31,13 @@ import (
 	"repro/internal/vbit"
 )
 
-// Caps declares what a Miner supports beyond plain Mine. Callers branch on
-// capabilities, never on engine names. Every registered engine is exact:
-// its results are bit-identical to sequential Apriori (frequent sets,
-// supports, ordering).
+// Caps declares what a Miner supports that no narrowing interface shows.
+// Callers branch on capabilities, never on engine names. Every registered
+// engine is exact: its results are bit-identical to sequential Apriori
+// (frequent sets, supports, ordering).
 type Caps struct {
 	// Parallel engines honor Spec.Procs and accept an obs.Recorder.
 	Parallel bool
-	// Cancellation: MineCtx observes ctx cooperatively and returns the
-	// partial result with a *robust.CanceledError.
-	Cancellation bool
-	// Checkpoint: Spec.Checkpoint writes per-iteration resumable snapshots.
-	Checkpoint bool
-	// Resume: the engine implements Resumer.
-	Resume bool
-	// Segmented: the engine implements SegmentedMiner (out-of-core path).
-	Segmented bool
 }
 
 // Spec is the engine-independent description of one mining run. Every field
@@ -67,7 +58,8 @@ type Spec struct {
 	ChunkSize int
 	// Obs wires the observability recorder through engines that support it.
 	Obs *obs.Recorder
-	// Checkpoint enables per-iteration snapshots on engines with Caps.Checkpoint.
+	// Checkpoint enables per-iteration snapshots on engines that implement
+	// Resumer.
 	Checkpoint string
 	// MemBudget caps resident decoded-segment bytes on the segmented path
 	// (0 = double-buffered prefetch). vbit's resident columns sit outside
@@ -123,10 +115,9 @@ type Miner interface {
 	// Name is the registry key and the CLI's -algo spelling.
 	Name() string
 	Caps() Caps
-	// Mine runs to completion on an in-memory database.
-	Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error)
-	// MineCtx is Mine under a context; engines without Caps.Cancellation
-	// ignore the context.
+	// MineCtx runs on an in-memory database under a context. seq ignores
+	// the context; every other engine observes it cooperatively and
+	// returns the partial result with a *robust.CanceledError.
 	MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error)
 }
 
@@ -199,9 +190,6 @@ type seqMiner struct{}
 
 func (seqMiner) Name() string { return "seq" }
 func (seqMiner) Caps() Caps   { return Caps{} }
-func (m seqMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
 func (seqMiner) MineCtx(_ context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	t0 := time.Now()
 	res, err := apriori.Mine(d, s.Mining)
@@ -216,12 +204,7 @@ func (seqMiner) MineCtx(_ context.Context, d *db.Database, s Spec) (*apriori.Res
 type ccpdMiner struct{}
 
 func (ccpdMiner) Name() string { return "ccpd" }
-func (ccpdMiner) Caps() Caps {
-	return Caps{Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true}
-}
-func (m ccpdMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
+func (ccpdMiner) Caps() Caps   { return Caps{Parallel: true} }
 func (ccpdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	res, st, err := ccpd.MineCtx(ctx, d, s.ccpdOptions())
 	return res, ccpdStats("ccpd", st), err
@@ -251,10 +234,7 @@ func ccpdStats(name string, st *ccpd.Stats) *Stats {
 type pccdMiner struct{}
 
 func (pccdMiner) Name() string { return "pccd" }
-func (pccdMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true} }
-func (m pccdMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
+func (pccdMiner) Caps() Caps   { return Caps{Parallel: true} }
 func (pccdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	res, st, err := ccpd.MinePCCDCtx(ctx, d, s.ccpdOptions())
 	return res, ccpdStats("pccd", st), err
@@ -264,10 +244,7 @@ func (pccdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.
 type eclatMiner struct{}
 
 func (eclatMiner) Name() string { return "eclat" }
-func (eclatMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true} }
-func (m eclatMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
+func (eclatMiner) Caps() Caps   { return Caps{Parallel: true} }
 func (eclatMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	t0 := time.Now()
 	res, err := eclat.MineCtx(ctx, d, eclat.Options{
@@ -286,12 +263,7 @@ func (eclatMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori
 type vbitMiner struct{}
 
 func (vbitMiner) Name() string { return "vbit" }
-func (vbitMiner) Caps() Caps {
-	return Caps{Parallel: true, Cancellation: true, Segmented: true}
-}
-func (m vbitMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
+func (vbitMiner) Caps() Caps   { return Caps{Parallel: true} }
 func (vbitMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	res, st, err := vbit.MineCtx(ctx, d, s.vbitOptions())
 	return res, vbitStats(st), err
@@ -300,7 +272,7 @@ func (vbitMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.
 // MineSegmented refuses, before loading a segment, a store whose projected
 // columns (VBitArenaBytes, the planner's budget veto) exceed a set budget.
 func (vbitMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apriori.Result, *Stats, error) {
-	if b := VBitArenaBytes(storeInfo(r)); s.MemBudget > 0 && b > s.MemBudget {
+	if b := VBitArenaBytes(CharacterizeReader(r)); s.MemBudget > 0 && b > s.MemBudget {
 		return nil, nil, fmt.Errorf("engine: vbit: %w: the store's columns and one segment project to %d B against %d B; ccpd mines within it", ErrOverBudget, b, s.MemBudget)
 	}
 	res, st, err := vbit.MineSegmentedCtx(ctx, r, vbit.SegmentedOptions{
@@ -347,7 +319,7 @@ func Dispatch(ctx context.Context, name string, d *db.Database, r *seg.Reader, s
 func SegmentedNames() []string {
 	var out []string
 	for n, m := range registry {
-		if m.Caps().Segmented {
+		if _, ok := AsSegmented(m); ok {
 			out = append(out, n)
 		}
 	}

@@ -48,17 +48,13 @@ func TestEquivalenceThroughInterface(t *testing.T) {
 				if !ok {
 					t.Fatalf("Names() lists %q but Lookup fails", name)
 				}
-				res, _, err := m.Mine(d, spec)
+				res, _, err := m.MineCtx(context.Background(), d, spec)
 				if err != nil {
 					t.Fatalf("seed %d sup %g %s: %v", seed, sup, name, err)
 				}
 				assertSameResult(t, name, res, want)
 
-				if m.Caps().Segmented {
-					sm, ok := AsSegmented(m)
-					if !ok {
-						t.Fatalf("%s: Caps().Segmented but no SegmentedMiner", name)
-					}
+				if sm, ok := AsSegmented(m); ok {
 					sres, _, err := sm.MineSegmented(context.Background(), r, spec)
 					if err != nil {
 						t.Fatalf("seed %d sup %g %s segmented: %v", seed, sup, name, err)
@@ -135,10 +131,7 @@ func TestVBitStoreBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	info, err := CharacterizeReader(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := CharacterizeReader(r)
 	need := VBitArenaBytes(info)
 	if need <= info.MaxSegmentBytes {
 		t.Fatalf("projection %d B holds no column", need)
@@ -172,34 +165,32 @@ func TestVBitStoreBudget(t *testing.T) {
 	}
 }
 
-// TestCapsShape pins the capability matrix: callers branch on these flags,
-// so a silent capability regression is an interface break.
+// TestCapsShape pins the capability matrix: callers branch on these flags
+// and narrowing interfaces, so a silent capability regression is an
+// interface break.
 func TestCapsShape(t *testing.T) {
-	wantCaps := map[string]Caps{
+	type shape struct{ parallel, resumer, segmented bool }
+	wantShapes := map[string]shape{
 		"seq":   {},
-		"ccpd":  {Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true},
-		"pccd":  {Parallel: true, Cancellation: true},
-		"eclat": {Parallel: true, Cancellation: true},
-		"vbit":  {Parallel: true, Cancellation: true, Segmented: true},
+		"ccpd":  {parallel: true, resumer: true, segmented: true},
+		"pccd":  {parallel: true},
+		"eclat": {parallel: true},
+		"vbit":  {parallel: true, segmented: true},
 	}
 	names := Names()
-	if len(names) != len(wantCaps) {
-		t.Fatalf("registered engines %v, want %d of them", names, len(wantCaps))
+	if len(names) != len(wantShapes) {
+		t.Fatalf("registered engines %v, want %d of them", names, len(wantShapes))
 	}
-	for name, want := range wantCaps {
+	for name, want := range wantShapes {
 		m, ok := Lookup(name)
 		if !ok {
 			t.Errorf("engine %q not registered", name)
 			continue
 		}
-		if got := m.Caps(); got != want {
-			t.Errorf("%s caps = %+v, want %+v", name, got, want)
-		}
-		if _, ok := AsResumer(m); ok != want.Resume {
-			t.Errorf("%s: AsResumer = %v, Caps.Resume = %v", name, ok, want.Resume)
-		}
-		if _, ok := AsSegmented(m); ok != want.Segmented {
-			t.Errorf("%s: AsSegmented = %v, Caps.Segmented = %v", name, ok, want.Segmented)
+		_, resumer := AsResumer(m)
+		_, segmented := AsSegmented(m)
+		if got := (shape{m.Caps().Parallel, resumer, segmented}); got != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
 		}
 	}
 }

@@ -1,11 +1,9 @@
-// The cost-based planner: pick engine + DB partition mode + chunk size from
-// database statistics (density, skew, size — the same axes internal/gen
-// parameterizes its workloads with), the GreedySchedule work model, and the
-// available memory budget. It replaces the two hand-rolled "-algo auto"
-// selection sites that used to live in cmd/apriori — one of which
-// characterized only segment 0 of a segmented store and ignored -mem-budget
-// entirely, happily selecting the vertical engine when its bitmap arena
-// could never fit the budget.
+// The cost-based planner: pick the engine from the database's header
+// totals (size, universe, density) and the available memory budget. It
+// replaces the two hand-rolled "-algo auto" selection sites that used to
+// live in cmd/apriori — one of which characterized only segment 0 of a
+// segmented store and ignored -mem-budget entirely, happily selecting the
+// vertical engine when its bitmap arena could never fit the budget.
 package engine
 
 import (
@@ -58,98 +56,36 @@ func dbStats(numTx, numItems int, totalItems int64) DBStats {
 const DefaultCrossoverDensity = 1.0 / 128
 
 // DBInfo is everything the planner knows about a database: the O(1)
-// aggregate statistics, plus a transaction-length skew measurement and,
-// for segmented stores, the store geometry the out-of-core cost terms
-// need.
+// aggregate statistics and, for segmented stores, the store geometry the
+// out-of-core cost terms need. Every field is a stored total; none is
+// measured by reading rows.
 type DBInfo struct {
 	DBStats
 	// TotalItems is the total item-occurrence count (= Transactions·AvgLen);
 	// it is the unit of horizontal counting work.
 	TotalItems int64
-	// TailMass is the fraction of all item occurrences carried by
-	// transactions longer than 2× the mean — near zero for Poisson-shaped
-	// uniform workloads (~1%), large for planted heavy tails (~30% at the
-	// generator's SkewFrac=0.05, SkewMult=8).
-	TailMass float64
-	// TailTx is the fraction of transactions longer than 2× the mean.
-	TailTx float64
 	// Segmented geometry (zero for in-RAM databases).
 	Segmented       bool
 	NumSegments     int
 	MaxSegmentBytes int64
 }
 
-// Characterize measures an in-memory database: the aggregate statistics are
-// O(1) reads of stored totals; the skew terms take one pass over the
-// transaction-length offsets (no item data is touched).
+// Characterize describes an in-memory database from its stored totals; it
+// reads no row.
 func Characterize(d *db.Database) DBInfo {
-	info := DBInfo{DBStats: dbStats(d.Len(), d.NumItems(), d.TotalItems()), TotalItems: d.TotalItems()}
-	cut := 2 * info.AvgLen
-	var tailItems int64
-	tailTx := 0
-	for i := 0; i < d.Len(); i++ {
-		if n := len(d.Items(i)); float64(n) > cut {
-			tailItems += int64(n)
-			tailTx++
-		}
-	}
-	if info.TotalItems > 0 {
-		info.TailMass = float64(tailItems) / float64(info.TotalItems)
-	}
-	if d.Len() > 0 {
-		info.TailTx = float64(tailTx) / float64(d.Len())
-	}
-	return info
+	return DBInfo{DBStats: dbStats(d.Len(), d.NumItems(), d.TotalItems()), TotalItems: d.TotalItems()}
 }
 
-// CharacterizeReader measures a segmented store. Unlike the old segment-0
-// sampling, the aggregate statistics (transaction count, universe, average
-// length, density) come from the store header and are exact for the whole
-// store. The skew terms are measured over the first and last segments: the
-// generator plants its heavy tail at the end of the transaction stream, so
-// sampling only the head (the old bug) reads a skewed store as uniform.
-func CharacterizeReader(r *seg.Reader) (DBInfo, error) {
-	info := storeInfo(r)
-	samples := []int{0}
-	if last := r.NumSegments() - 1; last > 0 {
-		samples = append(samples, last)
-	}
-	cut := 2 * info.AvgLen
-	var tailItems, sampleItems int64
-	tailTx, sampleTx := 0, 0
-	var buf seg.Buffer
-	for _, si := range samples {
-		sd, err := r.LoadSegment(si, &buf)
-		if err != nil {
-			return info, err
-		}
-		sampleTx += sd.Len()
-		sampleItems += sd.TotalItems()
-		for i := 0; i < sd.Len(); i++ {
-			if n := len(sd.Items(i)); float64(n) > cut {
-				tailItems += int64(n)
-				tailTx++
-			}
-		}
-	}
-	if sampleItems > 0 {
-		info.TailMass = float64(tailItems) / float64(sampleItems)
-	}
-	if sampleTx > 0 {
-		info.TailTx = float64(tailTx) / float64(sampleTx)
-	}
-	return info, nil
-}
-
-// storeInfo is a store's DBInfo without the skew terms: header and
-// directory reads only, no segment load.
-func storeInfo(r *seg.Reader) DBInfo {
+// CharacterizeReader describes a segmented store from its header and
+// directory: the statistics are exact for the whole store, and no segment
+// is loaded.
+func CharacterizeReader(r *seg.Reader) DBInfo {
 	return DBInfo{
 		DBStats:         dbStats(int(r.NumTx()), r.NumItems(), r.TotalItems()), //armlint:narrowok int is 64-bit on every supported target, so the int64 transaction count converts losslessly
+		TotalItems:      r.TotalItems(),
 		Segmented:       true,
 		NumSegments:     r.NumSegments(),
 		MaxSegmentBytes: r.MaxSegmentBytes(),
-		TotalItems:      r.TotalItems(),
 	}
 }
 
@@ -174,7 +110,7 @@ type Estimate struct {
 
 // Plan is the planner's decision: which engine, how to partition the
 // database for counting, and at what chunk granularity, with the estimates
-// that justified it.
+// that justified the engine.
 type Plan struct {
 	Engine    string
 	Segmented bool
@@ -183,14 +119,8 @@ type Plan struct {
 	// MemBudget echoes the budget the decision was made under, so downstream
 	// dispatch (and the golden tests) see it.
 	MemBudget int64
-	// BlockModel/DynamicModel are the GreedySchedule-modelled parallel
-	// counting times (max per-processor load) of the static block partition
-	// and the work-stealing chunk partition over the synthetic chunk-work
-	// vector — the numbers behind the DBPart choice.
-	BlockModel   int64
-	DynamicModel int64
-	Estimates    []Estimate
-	Reason       string
+	Estimates []Estimate
+	Reason    string
 }
 
 // String renders the one-line decision summary the CLI prints.
@@ -203,7 +133,7 @@ func (p Plan) String() string {
 // is chosen at and above DefaultCrossoverDensity, calibrated by the
 // density-sweep experiment.
 type Planner struct {
-	// Procs is the worker count the partition model schedules for (default 4).
+	// Procs is the worker count the stealing chunks are sized for (default 4).
 	Procs int
 	// MemBudget caps resident bytes; 0 means unbudgeted (in-RAM runs) or
 	// double-buffered (segmented runs), and disables the feasibility check
@@ -211,21 +141,12 @@ type Planner struct {
 	MemBudget int64
 }
 
-// tailMassThreshold is the TailMass above which the static block partition
-// is considered imbalanced and stealing competes.
-const tailMassThreshold = 0.08
-
 func (pl Planner) withDefaults() Planner {
 	if pl.Procs <= 0 {
 		pl.Procs = 4
 	}
 	return pl
 }
-
-// modelChunks is how many synthetic chunks the partition model schedules:
-// enough resolution that a 5% heavy tail occupies whole chunks, small enough
-// that planning stays trivially cheap.
-const modelChunks = 64
 
 // VBitArenaBytes projects the vertical engine's resident footprint from
 // aggregate statistics: its columns, plus one decoded segment for a store,
@@ -246,7 +167,8 @@ func VBitArenaBytes(info DBInfo) int64 {
 	return info.TotalItems*4 + info.MaxSegmentBytes
 }
 
-// Plan picks the engine, partition mode and chunk size for a database.
+// Plan picks the engine for a database; every plan counts with the
+// work-stealing partition.
 //
 // The engine choice compares two counting-cost models in item-touch units.
 // The horizontal hash-tree engine streams every item occurrence once per
@@ -264,16 +186,17 @@ func VBitArenaBytes(info DBInfo) int64 {
 // than 2³¹−1 transactions, past the columns' int32 tids. A database with no
 // item occurrences plans ccpd, whose scan trivially no-ops.
 //
-// The partition choice schedules a synthetic chunk-work vector — uniform
-// work with the measured tail mass concentrated in the trailing TailTx
-// chunks, mirroring where the generator plants its heavy tail — under the
-// static block split and under sched.GreedySchedule (the deterministic model
-// of the work-stealing chunk partition). Stealing is selected when its model
-// beats block by more than 5%; otherwise block's zero coordination overhead
-// wins.
+// The partition is work stealing in sched.ChunkFor chunks for every plan:
+// stealing bounds a transaction-length skew's imbalance at one chunk a
+// processor wherever the long rows sit, so the planner need not find them.
+// Only the hash-tree engine family consumes DBPart; the vertical engines
+// reuse ChunkSize as their poll stride.
 func (pl Planner) Plan(info DBInfo) Plan {
 	pl = pl.withDefaults()
-	p := Plan{Segmented: info.Segmented, DBPart: ccpd.PartitionBlock, ChunkSize: 256}
+	p := Plan{
+		Segmented: info.Segmented, MemBudget: pl.MemBudget,
+		DBPart: ccpd.PartitionStealing, ChunkSize: sched.ChunkFor(info.Transactions, pl.Procs, 256),
+	}
 
 	// Engine choice: ccpd vs vbit cost models plus the budget veto.
 	hcost := info.TotalItems
@@ -314,76 +237,5 @@ func (pl Planner) Plan(info DBInfo) Plan {
 		p.Engine = "ccpd"
 		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, DefaultCrossoverDensity)
 	}
-	p.MemBudget = pl.MemBudget
-
-	// Partition + chunk choice, from the GreedySchedule model of the
-	// measured tail. Only the hash-tree engine family consumes DBPart; the
-	// vertical engines reuse ChunkSize as their poll stride.
-	work := syntheticChunkWork(info)
-	p.BlockModel = blockModel(work, pl.Procs)
-	p.DynamicModel = maxLoad(sched.GreedySchedule(work, pl.Procs))
-	if info.TailMass >= tailMassThreshold &&
-		float64(p.DynamicModel) < 0.95*float64(p.BlockModel) {
-		p.DBPart = ccpd.PartitionStealing
-		p.ChunkSize = sched.ChunkFor(info.Transactions, pl.Procs, 256)
-		p.Reason += fmt.Sprintf("; tail mass %.2f -> stealing (model %d vs block %d)",
-			info.TailMass, p.DynamicModel, p.BlockModel)
-	}
 	return p
-}
-
-// syntheticChunkWork spreads the database's item occurrences over
-// modelChunks chunks: uniform base load, with the measured tail mass
-// concentrated in the trailing TailTx-fraction chunks (where the generator
-// plants its heavy transactions).
-func syntheticChunkWork(info DBInfo) []int64 {
-	work := make([]int64, modelChunks)
-	if info.TotalItems <= 0 {
-		return work
-	}
-	tailChunks := int(info.TailTx*modelChunks + 0.5)
-	if info.TailMass > 0 && tailChunks == 0 {
-		tailChunks = 1
-	}
-	if tailChunks > modelChunks {
-		tailChunks = modelChunks
-	}
-	base := float64(info.TotalItems) * (1 - info.TailMass) / float64(modelChunks-tailChunks)
-	for i := range work {
-		work[i] = int64(base)
-	}
-	if tailChunks > 0 {
-		tail := float64(info.TotalItems) * info.TailMass / float64(tailChunks)
-		for i := modelChunks - tailChunks; i < modelChunks; i++ {
-			work[i] = int64(base + tail)
-		}
-	}
-	return work
-}
-
-// blockModel is the max per-processor load of a contiguous equal-chunk split
-// — the static block partition over the synthetic work vector.
-func blockModel(work []int64, procs int) int64 {
-	var worst int64
-	for p := 0; p < procs; p++ {
-		lo, hi := p*len(work)/procs, (p+1)*len(work)/procs
-		var sum int64
-		for _, w := range work[lo:hi] {
-			sum += w
-		}
-		if sum > worst {
-			worst = sum
-		}
-	}
-	return worst
-}
-
-func maxLoad(loads []int64) int64 {
-	var m int64
-	for _, v := range loads {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

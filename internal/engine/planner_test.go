@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,8 +15,9 @@ import (
 )
 
 // workloadShapes are the internal/gen reference shapes the planner goldens
-// pin: one per axis the cost model decides on (density above/below the
-// crossover, planted skew, and — separately below — segmented geometry).
+// pin: density above and below the crossover, each with and without a
+// planted skew, which the planner does not read (segmented geometry is
+// pinned separately below).
 var workloadShapes = map[string]gen.Params{
 	// density ≈ 0.2: far above the 1/128 crossover, every column a bitmap.
 	"dense": {N: 60, L: 30, T: 12, I: 4, D: 2000, Seed: 1},
@@ -23,7 +26,7 @@ var workloadShapes = map[string]gen.Params{
 	// the paper-default shape with the generator's heavy tail planted:
 	// 5% of transactions draw their size from Poisson(8·T).
 	"skewed": {T: 10, I: 4, D: 2000, Seed: 1, SkewFrac: 0.05, SkewMult: 8},
-	// skew below the crossover: the one shape that wants ccpd AND stealing.
+	// skew below the crossover.
 	"sparse-skewed": {N: 3200, L: 1600, T: 10, I: 4, D: 2000, Seed: 1, SkewFrac: 0.05, SkewMult: 8},
 }
 
@@ -52,13 +55,12 @@ func TestCharacterize(t *testing.T) {
 
 // TestPlannerGoldens pins the planner's decision for each workload shape and
 // checks the decision is justified by the recorded estimates — the chosen
-// engine must be the feasible one with the lower modelled cost, and a
-// stealing partition must be backed by the GreedySchedule model beating the
-// block model.
+// engine must be the feasible one with the lower modelled cost. Every shape
+// counts with work stealing, skewed or not.
 func TestPlannerGoldens(t *testing.T) {
 	want := map[string]plannedChoice{
-		"dense":         {engine: "vbit", dbpart: ccpd.PartitionBlock},
-		"sparse":        {engine: "ccpd", dbpart: ccpd.PartitionBlock},
+		"dense":         {engine: "vbit", dbpart: ccpd.PartitionStealing},
+		"sparse":        {engine: "ccpd", dbpart: ccpd.PartitionStealing},
 		"skewed":        {engine: "vbit", dbpart: ccpd.PartitionStealing},
 		"sparse-skewed": {engine: "ccpd", dbpart: ccpd.PartitionStealing},
 	}
@@ -75,8 +77,7 @@ func TestPlannerGoldens(t *testing.T) {
 				name, plan.Engine, w.engine, info.DBStats, plan.Reason)
 		}
 		if plan.DBPart != w.dbpart {
-			t.Errorf("%s: planned dbpart %s, want %s (tail mass %.3f, models block=%d dynamic=%d)",
-				name, plan.DBPart, w.dbpart, info.TailMass, plan.BlockModel, plan.DynamicModel)
+			t.Errorf("%s: planned dbpart %s, want %s", name, plan.DBPart, w.dbpart)
 		}
 		assertJustified(t, name, plan)
 	}
@@ -103,10 +104,6 @@ func assertJustified(t *testing.T, label string, plan Plan) {
 			t.Errorf("%s: %s (cost %d) was feasible and cheaper than chosen %s (cost %d)",
 				label, e.Engine, e.Cost, plan.Engine, chosen.Cost)
 		}
-	}
-	if plan.DBPart == ccpd.PartitionStealing && plan.DynamicModel >= plan.BlockModel {
-		t.Errorf("%s: stealing chosen but dynamic model %d does not beat block %d",
-			label, plan.DynamicModel, plan.BlockModel)
 	}
 }
 
@@ -163,10 +160,7 @@ func TestPlannerSegmented(t *testing.T) {
 	}
 
 	dense := write("dense", workloadShapes["dense"], 500)
-	info, err := CharacterizeReader(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := CharacterizeReader(dense)
 	if !info.Segmented || info.NumSegments != 4 || info.Transactions != 2000 {
 		t.Fatalf("dense store characterization off: %+v", info)
 	}
@@ -190,11 +184,11 @@ func TestPlannerSegmented(t *testing.T) {
 	}
 }
 
-// TestPlannerSkewSampling guards the segment-0 half of the old bug: the
-// generator plants its heavy tail at the END of the transaction stream, so a
-// head-only sample reads a skewed store as uniform. CharacterizeReader
-// samples the first and last segments and must see the tail.
-func TestPlannerSkewSampling(t *testing.T) {
+// TestCharacterizeReaderReadsHeader: a store's statistics come from its
+// header and directory alone. An item past the universe, written into
+// segment 0's arena, fails any load of that segment, yet CharacterizeReader
+// still returns exactly the in-RAM database's statistics.
+func TestCharacterizeReaderReadsHeader(t *testing.T) {
 	d, err := gen.Generate(workloadShapes["skewed"])
 	if err != nil {
 		t.Fatal(err)
@@ -207,25 +201,30 @@ func TestPlannerSkewSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	info, err := CharacterizeReader(r)
+	off := r.Segment(0).ArenaOff
+	r.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inRAM := Characterize(d)
-	if info.TailMass < 0.5*inRAM.TailMass {
-		t.Errorf("segmented skew sample missed the tail: TailMass %.3f vs in-RAM %.3f",
-			info.TailMass, inRAM.TailMass)
+	past := binary.LittleEndian.AppendUint32(nil, uint32(d.NumItems()+1000))
+	if _, err := f.WriteAt(past, off); err != nil {
+		t.Fatal(err)
 	}
-	if plan := (Planner{Procs: 4}).Plan(info); plan.DBPart != ccpd.PartitionStealing {
-		t.Errorf("skewed segmented store: dbpart %s, want stealing (tail mass %.3f)",
-			plan.DBPart, info.TailMass)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Exactness of the O(1) aggregates: header-derived density must match
-	// the in-RAM characterization (same data, same totals).
-	if info.Density != inRAM.Density || info.Transactions != inRAM.Transactions {
-		t.Errorf("segmented aggregates drifted: density %g/%g, tx %d/%d",
-			info.Density, inRAM.Density, info.Transactions, inRAM.Transactions)
+	if r, err = seg.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.LoadSegment(0, &seg.Buffer{}); err == nil {
+		t.Fatal("segment 0 loads despite an item past the universe")
+	}
+	info := CharacterizeReader(r)
+	if want := Characterize(d); info.DBStats != want.DBStats || info.TotalItems != want.TotalItems {
+		t.Errorf("store statistics %+v (%d items), in-RAM %+v (%d items)",
+			info.DBStats, info.TotalItems, want.DBStats, want.TotalItems)
 	}
 }
 

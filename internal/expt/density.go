@@ -6,6 +6,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -65,7 +66,7 @@ func (r *Runner) DensitySweep(w io.Writer) error {
 					return fmt.Errorf("engine %q not registered", name)
 				}
 				t0 := time.Now()
-				res, _, err := m.Mine(d, spec)
+				res, _, err := m.MineCtx(context.Background(), d, spec)
 				if err != nil {
 					return fmt.Errorf("%s N=%d: %w", name, n, err)
 				}

@@ -300,12 +300,6 @@ func (s Itemset) ForEachSubset(k int, fn func(Itemset) bool) {
 	}
 }
 
-// CountSubsets returns C(len(s), k), the number of k-subsets of s, saturating
-// at math.MaxInt64 to avoid overflow on absurd inputs.
-func (s Itemset) CountSubsets(k int) int64 {
-	return Binomial(len(s), k)
-}
-
 // Binomial returns C(n, k) saturating at 1<<62 for large values.
 func Binomial(n, k int) int64 {
 	if k < 0 || k > n {
