@@ -205,7 +205,7 @@ const (
 )
 
 // Counting-phase database partition modes for ParallelOptions: the static
-// splits of Section 3.2.2 plus the work-stealing chunk scheduler.
+// splits of Section 3.2.2 plus dynamically claimed chunks (stealing).
 const (
 	PartitionBlock    = ccpd.PartitionBlock
 	PartitionWorkload = ccpd.PartitionWorkload

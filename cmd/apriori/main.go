@@ -6,7 +6,8 @@
 // baselines and the sampling study run outside the registry.
 // -algo auto hands the choice to the cost-based planner, which picks the
 // engine from the database's stored totals (density, size) and the
-// -mem-budget, and counts with work stealing.
+// -mem-budget, and counts with chunks claimed from a shared cursor
+// (-dbpart stealing).
 //
 // Examples:
 //
@@ -519,12 +520,8 @@ func printStats(st *engine.Stats, verbose bool) {
 						it.K, it.Candidates, it.Frequent, it.Rows, it.CandGen, it.TreeBuild, it.Count, it.Reduce)
 				}
 				if it.ChunksClaimed != nil {
-					var steals int64
-					for _, s := range it.Steals {
-						steals += s
-					}
-					fmt.Printf("       chunks=%v steals=%d idlework=%d countidle=%v\n",
-						it.ChunksClaimed, steals, it.IdleWork(), it.CountIdle)
+					fmt.Printf("       chunks=%v idlework=%d countidle=%v\n",
+						it.ChunksClaimed, it.IdleWork(), it.CountIdle)
 				}
 			}
 		}

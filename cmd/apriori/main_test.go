@@ -352,7 +352,7 @@ func TestRunVBitStatsLine(t *testing.T) {
 }
 
 // TestRunAutoKeepsExplicitPartition runs -algo auto on the planner's
-// sparse-skewed golden shape, which plans ccpd with work stealing: an
+// sparse-skewed golden shape, which plans ccpd with claimed chunks (stealing): an
 // explicit -dbpart or -chunk wins over the plan even at its default value,
 // and the planner line prints the partition and chunk the run uses.
 func TestRunAutoKeepsExplicitPartition(t *testing.T) {
@@ -369,7 +369,7 @@ func TestRunAutoKeepsExplicitPartition(t *testing.T) {
 		name   string
 		tweak  func(o *cliOptions)
 		plan   string // on the planner line
-		steals bool   // whether the run steals (-v prints its chunks= lines)
+		claims bool   // whether the run claims chunks (-v prints its chunks= lines)
 	}{
 		{"planned", func(o *cliOptions) {}, "dbpart=stealing chunk=62 ", true},
 		{"dbpart block", func(o *cliOptions) { o.Set["dbpart"] = true }, "dbpart=block chunk=62 ", false},
@@ -401,8 +401,8 @@ func TestRunAutoKeepsExplicitPartition(t *testing.T) {
 		if !strings.Contains(string(got), "-> engine=ccpd "+c.plan) {
 			t.Errorf("%s: planner line lacks %q:\n%s", c.name, c.plan, got)
 		}
-		if steals := strings.Contains(string(got), "chunks="); steals != c.steals {
-			t.Errorf("%s: run claims chunks %v, want %v:\n%s", c.name, steals, c.steals, got)
+		if claims := strings.Contains(string(got), "chunks="); claims != c.claims {
+			t.Errorf("%s: run claims chunks %v, want %v:\n%s", c.name, claims, c.claims, got)
 		}
 	}
 }

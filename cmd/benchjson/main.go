@@ -5,10 +5,11 @@
 // artifact diff rather than a buried log line.
 //
 // With -scaling it instead runs the full miner across processor counts and
-// counting-partition modes (static block/workload vs work stealing) on a
-// uniform and a skew-planted database and writes BENCH_scaling.json,
-// including a deterministic verdict: stealing must cut the modelled idle work
-// on the skewed database and stay within 5% modelled time on the uniform one.
+// counting-partition modes (static block/workload vs chunks claimed from a
+// cursor, -dbpart stealing) on a uniform and a skew-planted database and
+// writes BENCH_scaling.json, including a deterministic verdict: claimed
+// chunks must cut the modelled idle work on the skewed database and stay
+// within 5% modelled time on the uniform one.
 //
 // Both reports are stamped with the Go version, architecture, CPU count,
 // GOMAXPROCS and the git revision the binary was built from. go run does not
@@ -651,7 +652,6 @@ type scalingRow struct {
 	ModelTime    int64  `json:"model_time"`
 	MaxCountWork int64  `json:"max_count_work"`
 	IdleWork     int64  `json:"idle_work"`
-	Steals       int64  `json:"steals"`
 }
 
 type scalingVerdict struct {
@@ -722,10 +722,10 @@ func runScaling(out string, dsize int) error {
 					Dataset: spec.label, Procs: procs, Partition: part.String(),
 					CountWallNs: st.TotalCount().Nanoseconds(),
 					ModelTime:   st.ModelTime(), MaxCountWork: maxCount,
-					IdleWork: st.CountIdleWork(), Steals: st.TotalSteals(),
+					IdleWork: st.CountIdleWork(),
 				})
-				fmt.Printf("%-8s procs=%d %-9s model=%-10d idle=%-10d steals=%d\n",
-					spec.label, procs, part, st.ModelTime(), st.CountIdleWork(), st.TotalSteals())
+				fmt.Printf("%-8s procs=%d %-9s model=%-10d idle=%d\n",
+					spec.label, procs, part, st.ModelTime(), st.CountIdleWork())
 			}
 		}
 	}

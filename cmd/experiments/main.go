@@ -6,7 +6,7 @@
 //	experiments -all                   # every table and figure
 //	experiments -figure 8              # one figure
 //	experiments -table 2 -scale 0.1    # bigger databases
-//	experiments -trace skew.json       # Perfetto trace of a skewed stealing run
+//	experiments -trace skew.json       # Perfetto trace of a skewed run, chunks claimed
 //	experiments -sweep density         # ccpd-vs-vbit engine crossover study
 package main
 
@@ -32,11 +32,11 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate one figure (4, 6, 7, 8, 9, 10, 11, 12, 13)")
 	table := flag.Int("table", 0, "regenerate one table (1, 2)")
 	all := flag.Bool("all", false, "regenerate everything")
-	sched := flag.Bool("sched", false, "run the static-vs-stealing scheduler balance study")
+	sched := flag.Bool("sched", false, "run the static-vs-claimed-chunks scheduler balance study")
 	sweep := flag.String("sweep", "", "run a parameter sweep: density (ccpd-vs-vbit engine crossover)")
 	outofcore := flag.Bool("outofcore", false, "run the out-of-core segmented-mining study (in-RAM vs sync vs double-buffered)")
 	maxTrace := flag.Int("maxtrace", 200, "transactions traced per processor in placement studies")
-	trace := flag.String("trace", "", "mine the skewed stealing workload and write a Chrome trace JSON here")
+	trace := flag.String("trace", "", "mine the skewed workload with claimed chunks (-dbpart stealing) and write a Chrome trace JSON here")
 	metrics := flag.String("metrics", "", "with -trace: also write a Prometheus-text metrics snapshot here")
 	procs := flag.Int("procs", 4, "processors for the -trace run")
 	flag.Parse()
@@ -130,7 +130,7 @@ func run(w io.Writer, scale float64, figure, table int, all, sched, outofcore bo
 	return nil
 }
 
-// writeSkewTrace runs the canonical skewed stealing workload and exports its
+// writeSkewTrace runs the canonical skewed workload with claimed chunks and exports its
 // timeline and/or metrics snapshot to the given paths.
 func writeSkewTrace(r *expt.Runner, tracePath, metricsPath string, procs int) error {
 	open := func(path string) (*os.File, error) {

@@ -161,7 +161,7 @@ func TestRunSkewTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(metrics), "armine_steals_total") {
-		t.Error("metrics snapshot missing steal counters")
+	if !strings.Contains(string(metrics), "armine_chunks_claimed_total") {
+		t.Error("metrics snapshot missing chunk claim counters")
 	}
 }

@@ -189,6 +189,12 @@ func FrequentOne(d *db.Database, minCount int64) []FrequentItemset {
 			counts[it]++
 		}
 	}
+	return FrequentItems(counts, minCount)
+}
+
+// FrequentItems returns the items whose count reaches minCount, as F1 in
+// item order.
+func FrequentItems(counts []int64, minCount int64) []FrequentItemset {
 	var out []FrequentItemset
 	for it, c := range counts {
 		if c >= minCount {

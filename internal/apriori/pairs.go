@@ -6,7 +6,59 @@ import (
 	"repro/internal/db"
 	"repro/internal/hashtree"
 	"repro/internal/itemset"
+	"repro/internal/sched"
 )
+
+// ItemCount is the F1 kernel shared by the CCPD and vertical engines: each
+// worker of a sched.Pass counts the items of its rows into a private array
+// (the paper's privatized counters), and Sums reduces them once. The work
+// model charges hashtree.WorkItemScan per item read.
+type ItemCount struct {
+	numItems, stride int
+	local            [][]int64 // per-worker item counts
+	pairs            []int64   // per-worker Σ C(|t|,2)
+}
+
+// NewItemCount prepares an F1 pass of procs workers over numItems items,
+// polling for cancellation every stride transactions.
+func NewItemCount(procs, numItems, stride int) *ItemCount {
+	return &ItemCount{numItems: numItems, stride: stride, local: make([][]int64, procs), pairs: make([]int64, procs)}
+}
+
+// Kernel builds worker p's kernel: sched.Pass calls it once per worker.
+func (ic *ItemCount) Kernel(p int) sched.Kernel {
+	counts := make([]int64, ic.numItems)
+	ic.local[p] = counts
+	return func(ctx context.Context, d *db.Database, _, lo, hi int) int64 {
+		var scans, pairs int64
+		for i := lo; i < hi; i++ {
+			if (i-lo)%ic.stride == 0 && ctx.Err() != nil {
+				break
+			}
+			t := d.Items(i)
+			scans += int64(len(t))
+			pairs += int64(len(t)) * int64(len(t)-1) / 2
+			for _, it := range t {
+				counts[it]++
+			}
+		}
+		ic.pairs[p] += pairs
+		return scans * hashtree.WorkItemScan
+	}
+}
+
+// Sums returns the per-item counts over every worker's rows and Σ_t
+// C(|t|,2), the pair pass's increment bound before F1 is known.
+func (ic *ItemCount) Sums() (sums []int64, pairBound int64) {
+	sums = make([]int64, ic.numItems)
+	for p, counts := range ic.local {
+		for it, c := range counts {
+			sums[it] += c
+		}
+		pairBound += ic.pairs[p]
+	}
+	return sums, pairBound
+}
 
 // WorkPairInc is the modelled cost of one triangle-cell increment in the
 // pair pass, on the hashtree.Work* scale: one dependent load and store.
@@ -103,6 +155,15 @@ func (pc *PairCount) CountRange(ctx context.Context, tri, scratch []int32, d *db
 		}
 	}
 	return scanned*hashtree.WorkItemScan + pairs*WorkPairInc
+}
+
+// Kernel builds a sched.Pass kernel that counts into tri, one worker's
+// private triangle, polling every stride transactions.
+func (pc *PairCount) Kernel(tri []int32, stride int) sched.Kernel {
+	scratch := make([]int32, pc.n)
+	return func(ctx context.Context, d *db.Database, _, lo, hi int) int64 {
+		return pc.CountRange(ctx, tri, scratch, d, lo, hi, stride)
+	}
 }
 
 // ReduceRange sums cells [lo, hi) of every triangle into tris[0]. Workers

@@ -71,12 +71,12 @@ const (
 	// (the static heuristic of Section 3.2.2).
 	PartitionWorkload
 	// PartitionStealing cuts the database into cache-sized transaction
-	// chunks, seeds each processor's deque with a contiguous chunk block
-	// (cache- and model-equivalent to PartitionBlock when balanced) and
-	// lets idle processors steal from the front of a straggler's block, so
+	// chunks that processors claim from one shared cursor (sched.Pass), so
 	// load imbalance is bounded by one chunk's work regardless of
-	// transaction-size skew. The explicit value keeps checkpoints written
-	// in stealing mode valid: Resume's option fingerprint records it.
+	// transaction-size skew. Its work model is the greedy list-schedule of
+	// the per-chunk work. The name and value outlive the per-worker
+	// work-stealing deques it once claimed from: Resume's option fingerprint
+	// records the value, and checkpoints written in this mode stay valid.
 	PartitionStealing DBPartition = 3
 )
 
@@ -110,12 +110,12 @@ type Options struct {
 	// ChunkSize is the transactions-per-chunk granularity of
 	// PartitionStealing: small enough that a few hundred transactions fit
 	// in cache and bound the end-of-phase imbalance, large enough that one
-	// deque operation is noise against counting the chunk. A pass over a
+	// claim is noise against counting the chunk. A pass over a
 	// residue (Project) cuts sched.ChunkFor's chunks, at most this large.
 	// It is also the stride at which static-partition workers poll for
 	// cancellation. 0 uses 256.
 	ChunkSize int
-	// Obs, when non-nil, records phase spans, chunk claims and steals for
+	// Obs, when non-nil, records phase spans and chunk claims for
 	// trace/metrics export, and labels the pool workers for pprof. Nil
 	// disables recording: every obs call site nil-checks and returns, so the
 	// counting kernel keeps its zero-allocation guarantee.
@@ -262,11 +262,9 @@ type PhaseTiming struct {
 	// ChunksClaimed[p] is how many counting chunks processor p claimed
 	// under PartitionStealing (nil for static modes). The values sum to
 	// the chunk count of the iteration (times the batch count when
-	// batched).
+	// batched), plus one per segment edge a chunk straddles. It is an
+	// observed count, not model state.
 	ChunksClaimed []int64
-	// Steals[p] counts the chunks processor p took from another
-	// processor's deque (PartitionStealing only).
-	Steals []int64
 	// CountIdle is the summed wall-clock idle time of the counting phase:
 	// Σ_p (slowest processor's counting time − processor p's). On a host
 	// with fewer real cores than Procs this is scheduling noise; the
@@ -349,17 +347,6 @@ func (s *Stats) CountIdleWork() int64 {
 	var t int64
 	for i := range s.PerIter {
 		t += s.PerIter[i].IdleWork()
-	}
-	return t
-}
-
-// TotalSteals sums the cross-processor chunk steals over all iterations.
-func (s *Stats) TotalSteals() int64 {
-	var t int64
-	for i := range s.PerIter {
-		for _, v := range s.PerIter[i].Steals {
-			t += v
-		}
 	}
 	return t
 }
@@ -461,7 +448,7 @@ func (m *miner) mine(ctx context.Context, start time.Time) (*apriori.Result, *St
 	t0 := time.Now()
 	m.rec.SetPhase(obs.PhaseF1, 1)
 	m.rec.BeginPhase(obs.PhaseF1, 1)
-	f1, f1Work, err := m.frequentOne(ctx)
+	f1, cr, err := m.frequentOne(ctx)
 	m.rec.EndPhase(obs.PhaseF1, 1)
 	if err != nil {
 		return nil, nil, annotate(err, "f1", 1)
@@ -475,7 +462,7 @@ func (m *miner) mine(ctx context.Context, start time.Time) (*apriori.Result, *St
 	numItems := m.numItems
 	it1 := PhaseTiming{
 		K: 1, Count: time.Since(t0), Candidates: numItems, Frequent: len(f1),
-		CountWork: f1Work, Batches: 1, Rows: m.numTx,
+		CountWork: cr.Work, ChunksClaimed: cr.Claimed, CountIdle: cr.Idle, Batches: 1, Rows: m.numTx,
 	}
 	it1.ReduceWork = int64(numItems)
 	m.stats.PerIter = append(m.stats.PerIter, it1)
@@ -690,32 +677,27 @@ func (m *miner) pairPass(ctx context.Context) ([]apriori.FrequentItemset, error)
 	t0 := time.Now()
 	m.rec.SetPhase(obs.PhasePairs, k)
 	m.rec.BeginPhase(obs.PhasePairs, k)
-	cr, err := m.countPhase(ctx, "pairs", k, func(p int) rangeCounter {
-		tri, scratch := make([]int32, cells), make([]int32, pc.N())
-		tris[p] = tri
-		return func(ctx context.Context, d *db.Database, _, lo, hi int) int64 {
-			return pc.CountRange(ctx, tri, scratch, d, lo, hi, opts.ChunkSize)
-		}
+	cr, err := m.countPhase(ctx, "pairs", k, func(p int) sched.Kernel {
+		tris[p] = make([]int32, cells)
+		return pc.Kernel(tris[p], opts.ChunkSize)
 	})
 	m.rec.EndPhase(obs.PhasePairs, k)
 	if err != nil {
 		return nil, annotate(err, "pairs", k)
 	}
 	pt.Count = time.Since(t0)
-	pt.CountIdle = cr.Idle
-	m.rec.AddIdle(cr.Idle)
-	pt.CountWork, pt.ChunksClaimed, pt.Steals = cr.Work, cr.Claimed, cr.Steals
+	pt.CountIdle, pt.CountWork, pt.ChunksClaimed = cr.Idle, cr.Work, cr.Claimed
 	if err := robust.Canceled(ctx, "pairs", k); err != nil {
 		return nil, err
 	}
 
 	t0 = time.Now()
-	ranges := make([][]apriori.FrequentItemset, opts.Procs)
+	ranges, parts := make([][]apriori.FrequentItemset, opts.Procs), sched.Blocks(cells, opts.Procs)
 	m.rec.SetPhase(obs.PhaseReduce, k)
 	m.rec.BeginPhase(obs.PhaseReduce, k)
 	err = m.pool.Run(func(p int) {
 		m.fi.Fire("reduce", k, p, -1)
-		lo, hi := splitRange(p, opts.Procs, cells)
+		lo, hi := parts[p].Lo, parts[p].Hi
 		apriori.ReduceRange(tris, lo, hi)
 		ranges[p] = pc.FrequentRange(tris[0], m.minCount, lo, hi)
 	})
@@ -771,7 +753,7 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	counters := hashtree.NewCounters(opts.Counter, tree.NumCandidates(), opts.Procs)
 	m.rec.SetPhase(obs.PhaseCount, k)
 	m.rec.BeginPhase(obs.PhaseCount, k)
-	cr, err := m.countPhase(ctx, "count", k, func(p int) rangeCounter {
+	cr, err := m.countPhase(ctx, "count", k, func(p int) sched.Kernel {
 		c := tree.NewCountCtx(counters, hashtree.CountOpts{ShortCircuit: opts.ShortCircuit, Project: opts.Project, Proc: p})
 		keep := w.buf(p)
 		return func(ctx context.Context, d *db.Database, base, lo, hi int) int64 {
@@ -795,10 +777,8 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	}
 	pt.Count += time.Since(t0)
 	pt.CountIdle += cr.Idle
-	m.rec.AddIdle(cr.Idle)
 	pt.CountWork = addVec(pt.CountWork, cr.Work)
 	pt.ChunksClaimed = addVec(pt.ChunksClaimed, cr.Claimed)
-	pt.Steals = addVec(pt.Steals, cr.Steals)
 	if err := robust.Canceled(ctx, "count", k); err != nil {
 		return nil, err
 	}
@@ -810,13 +790,12 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 	// model figure: the paper's master-phase cost is what the time
 	// model pins, independent of how the wall clock is spent.
 	t0 = time.Now()
-	nc := tree.NumCandidates()
-	ranges := make([][]apriori.FrequentItemset, opts.Procs)
+	ranges, parts := make([][]apriori.FrequentItemset, opts.Procs), sched.Blocks(tree.NumCandidates(), opts.Procs)
 	m.rec.SetPhase(obs.PhaseReduce, k)
 	m.rec.BeginPhase(obs.PhaseReduce, k)
 	err = m.pool.Run(func(p int) {
 		m.fi.Fire("reduce", k, p, -1)
-		lo, hi := splitRange(p, opts.Procs, nc)
+		lo, hi := parts[p].Lo, parts[p].Hi
 		counters.ReduceRange(lo, hi)
 		ranges[p] = apriori.ExtractFrequentRange(tree, counters, m.minCount, lo, hi)
 	})
@@ -831,7 +810,7 @@ func (m *miner) buildCountExtract(ctx context.Context, k int, cands []itemset.It
 }
 
 // addVec element-wise adds b into a (allocating a when nil). A nil b leaves
-// a unchanged, so static modes keep nil ChunksClaimed/Steals.
+// a unchanged, so static modes keep nil ChunksClaimed.
 func addVec(a, b []int64) []int64 {
 	if b == nil {
 		return a
@@ -845,243 +824,56 @@ func addVec(a, b []int64) []int64 {
 	return a
 }
 
-// splitRange returns the half-open sub-range [lo, hi) of [0, n) handled by
-// processor p of procs. The products run in int64 end-to-end: the former
-// int32(p*n/procs) form multiplied in int first and truncated on conversion,
-// which for candidate counts within a factor of procs of 2^31 corrupted the
-// reduce fan-out boundaries.
-func splitRange(p, procs, n int) (lo, hi int) {
-	lo = int(int64(p) * int64(n) / int64(procs))
-	hi = int(int64(p+1) * int64(n) / int64(procs))
-	return lo, hi
-}
-
 // staticRanges returns each processor's global range of the pass's rows
 // under the static partition of iteration k: the workload split's
 // Σ C(|t|,k) balance (in RAM only), otherwise equal transaction counts.
-// Stealing's iteration 1 counts these block ranges too.
 func (m *miner) staticRanges(k int) []db.Slice {
 	if m.opts.DBPart == PartitionWorkload {
 		return m.source().WorkloadPartition(m.opts.Procs, k)
 	}
-	out := make([]db.Slice, m.opts.Procs)
-	for p := range out {
-		out[p].Lo, out[p].Hi = splitRange(p, m.opts.Procs, m.passRows())
-	}
-	return out
+	return sched.Blocks(m.passRows(), m.opts.Procs)
 }
 
-// frequentOne is iteration 1: each worker counts the items of its static
-// range, clipped to each segment, into a private array, and F1 is their
-// sum. The returned work model follows DBPart in item scans: Σ|t| over each
-// processor's static range, or under stealing the greedy list-schedule over
-// per-chunk Σ|t|, so k=1 is attributed as the k ≥ 2 passes are. On
-// cancellation the caller must discard the partial counts — it checks the
-// context before using the result.
-func (m *miner) frequentOne(ctx context.Context) ([]apriori.FrequentItemset, []int64, error) {
-	procs, cs := m.opts.Procs, m.opts.ChunkSize
-	ranges := m.staticRanges(1)
-	local := make([][]int64, procs)
-	for p := range local {
-		local[p] = make([]int64, m.numItems)
-	}
-	work := make([]int64, procs)
-	var chunkWork []int64
-	if m.opts.DBPart == PartitionStealing {
-		chunkWork = make([]int64, sched.NumChunks(m.numTx, cs))
-	}
-	err := seg.EachSegment(ctx, m.source(), m.pipe, func(si, base int, sd *db.Database) error {
-		end := base + sd.Len()
-		if chunkWork != nil {
-			cLo, cHi := sched.ChunkSpan(base, end, cs)
-			//armlint:allow ctxpoll per-chunk estimation over one resident segment; the segment loop polls between segments
-			for c := cLo; c < cHi; c++ {
-				s := db.Slice{DB: sd}
-				s.Lo, s.Hi = sched.ChunkRange(c, cs, base, end)
-				chunkWork[c] += s.EstimatedWork(1) * hashtree.WorkItemScan
-			}
-		}
-		return m.pool.Run(func(p int) {
-			m.fi.Fire("f1", 1, p, si)
-			counts := local[p]
-			lo, hi := max(ranges[p].Lo, base)-base, min(ranges[p].Hi, end)-base
-			var scans int64
-			for i := lo; i < hi; i++ {
-				if (i-lo)%cs == 0 && ctx.Err() != nil {
-					break
-				}
-				t := sd.Items(i)
-				scans += int64(len(t))
-				for _, it := range t {
-					counts[it]++
-				}
-			}
-			work[p] += scans * hashtree.WorkItemScan
-		})
-	})
+// frequentOne is iteration 1: a counting pass of the shared F1 kernel
+// (apriori.ItemCount), split by DBPart like every later pass, and F1 is the
+// workers' summed counts. Its work is Σ|t| item scans. On cancellation the
+// caller must discard the partial counts — it checks the context before
+// using the result.
+func (m *miner) frequentOne(ctx context.Context) ([]apriori.FrequentItemset, sched.PassResult, error) {
+	ic := apriori.NewItemCount(m.opts.Procs, m.numItems, m.opts.ChunkSize)
+	cr, err := m.countPhase(ctx, "f1", 1, ic.Kernel)
 	if err != nil {
-		return nil, nil, err
+		return nil, cr, err
 	}
-	var out []apriori.FrequentItemset
-	for it := 0; it < m.numItems; it++ {
-		var c int64
-		for _, counts := range local {
-			c += counts[it]
-		}
-		if c >= m.minCount {
-			out = append(out, apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
-		}
-	}
-	if chunkWork != nil {
-		work = sched.GreedySchedule(chunkWork, procs)
-	}
-	return out, work, nil
+	sums, _ := ic.Sums()
+	return apriori.FrequentItems(sums, m.minCount), cr, nil
 }
 
-// countResult is one counting pass's deterministic accounting: per-processor
-// work, chunk claims/steals (PartitionStealing) and wall-clock idle.
-type countResult struct {
-	Work    []int64
-	Claimed []int64
-	Steals  []int64
-	Idle    time.Duration
-}
-
-// rangeCounter is one worker's kernel for a counting pass, over the hash
-// tree or, in the k=2 pair pass, into a private pair triangle. It counts
-// transactions [lo, hi) of one segment d, whose first transaction has
-// global index base, polling ctx every ChunkSize transactions, and returns
-// their work units.
-type rangeCounter func(ctx context.Context, d *db.Database, base, lo, hi int) int64
-
-// countPhase runs one counting pass over the pass's rows (the residue or
-// the source, see seg.EachSegment) on the pool and returns its accounting.
-// newCounter builds worker p's kernel once per pass; the worker keeps it
-// across segments, so the pass counts exactly what a pass over the
-// concatenated database would. phase names the fault-injection sites.
-//
-//   - Static modes: worker p counts its global range (staticRanges) clipped
-//     to each segment — the same transactions, in the same order, as over
-//     the whole database — polling for cancellation every ChunkSize
-//     transactions.
-//   - PartitionStealing cuts the pass's rows into a global chunk grid:
-//     ChunkSize rows a chunk over the source, and sched.ChunkFor's smaller
-//     chunks over a residue, whose few hundred rows would otherwise fill one
-//     or two chunks and leave one processor counting most of the pass. Each
-//     segment seeds a deque set with its overlapping chunks, claimed at
-//     runtime with a context check at each claim. A chunk straddling a
-//     segment edge is counted in two pieces, one per segment (the pool
-//     barrier sits between them), so ChunksClaimed sums to the chunk count
-//     plus one per straddled edge. The racy runtime assignment makes the observed per-processor
-//     work non-reproducible, so CountWork is instead the deterministic
-//     greedy list-schedule over the per-chunk work units — reproducible,
-//     equal for any segmentation, and summing bit-identically to any static
-//     split because per-transaction work does not depend on who counts it.
-func (m *miner) countPhase(ctx context.Context, phase string, k int, newCounter func(p int) rangeCounter) (countResult, error) {
-	procs, cs := m.opts.Procs, m.opts.ChunkSize
-	if m.resid != nil {
-		cs = sched.ChunkFor(m.resid.Len(), procs, cs)
+// countPhase runs one counting pass (sched.Pass) over the pass's rows — the
+// residue or the source, see seg.EachSegment — on the pool, fault sites
+// named by phase. Static modes split the rows by staticRanges. Under
+// PartitionStealing workers claim chunks of ChunkSize rows over the source
+// and of sched.ChunkFor's smaller size over a residue, whose few hundred
+// rows would otherwise fill one or two chunks and leave one processor
+// counting most of the pass.
+func (m *miner) countPhase(ctx context.Context, phase string, k int, newKernel func(p int) sched.Kernel) (sched.PassResult, error) {
+	spec := sched.PassSpec{
+		Phase: phase, K: k, Rows: m.passRows(), Chunk: m.opts.ChunkSize,
+		Rec: m.rec, Faults: m.fi,
 	}
-	rec, fi := m.rec, m.fi
-	// Workers accumulate into cache-line padded sched.PerWorker records, so
-	// live increments never invalidate a neighbour's line; the bare int64
-	// timing slices (eight counters per line) are filled in only after the
-	// pool barrier.
-	acc := make([]sched.PerWorker, procs)
-	kernels := make([]rangeCounter, procs)
-	kernel := func(p int) rangeCounter {
-		if kernels[p] == nil {
-			kernels[p] = newCounter(p)
-		}
-		return kernels[p]
+	switch {
+	case m.opts.DBPart != PartitionStealing:
+		spec.Static = m.staticRanges(k)
+	case m.resid != nil:
+		spec.Chunk = sched.ChunkFor(spec.Rows, m.opts.Procs, spec.Chunk)
 	}
-	var ranges []db.Slice
-	var chunkWork []int64
-	if m.opts.DBPart == PartitionStealing {
-		chunkWork = make([]int64, sched.NumChunks(m.passRows(), cs))
-	} else {
-		ranges = m.staticRanges(k)
+	ps := sched.NewPass(ctx, m.pool, spec, newKernel)
+	if err := seg.EachSegment(ctx, m.source(), m.pipe, ps.Segment); err != nil {
+		return sched.PassResult{}, err
 	}
-
-	err := seg.EachSegment(ctx, m.source(), m.pipe, func(si, base int, sd *db.Database) error {
-		end := base + sd.Len()
-		if chunkWork == nil {
-			return m.pool.Run(func(p int) {
-				t0 := time.Now()
-				fi.Fire(phase, k, p, si)
-				count := kernel(p)
-				lo, hi := max(ranges[p].Lo, base)-base, min(ranges[p].Hi, end)-base
-				acc[p].Work += count(ctx, sd, base, lo, hi)
-				acc[p].ElapsedNS += time.Since(t0).Nanoseconds()
-			})
-		}
-		cLo, cHi := sched.ChunkSpan(base, end, cs)
-		st := sched.NewStealing(procs)
-		st.SeedBlocks(cHi - cLo)
-		return m.pool.Run(func(p int) {
-			t0 := time.Now()
-			count := kernel(p)
-			w := &acc[p]
-			ow := rec.Worker(p)
-			for ctx.Err() == nil {
-				lc, victim, ok := st.Next(p)
-				if !ok {
-					break
-				}
-				c := cLo + int(lc)
-				if victim != p {
-					w.Stolen++
-					ow.Steal(k, c, victim)
-				}
-				m.pool.NoteChunk(p, c)
-				fi.Fire(phase, k, p, c)
-				ow.BeginChunk(k, c)
-				lo, hi := sched.ChunkRange(c, cs, base, end)
-				// Each chunk is claimed once per segment, and segments are
-				// separated by the pool barrier, so this write is private.
-				cw := count(ctx, sd, base, lo, hi)
-				chunkWork[c] += cw
-				w.Work += cw
-				ow.EndChunk(k, c)
-				w.Claimed++
-			}
-			m.pool.NoteChunk(p, -1)
-			w.ElapsedNS += time.Since(t0).Nanoseconds()
-		})
-	})
-	if err != nil {
-		return countResult{}, err
-	}
-
-	cr := countResult{Work: make([]int64, procs), Idle: idleOf(acc)}
-	for p := range acc {
-		rec.Worker(p).AddWork(acc[p].Work)
-		cr.Work[p] = acc[p].Work
-	}
-	if chunkWork != nil {
-		cr.Work = sched.GreedySchedule(chunkWork, procs)
-		cr.Claimed = make([]int64, procs)
-		cr.Steals = make([]int64, procs)
-		for p := range acc {
-			cr.Claimed[p] = acc[p].Claimed
-			cr.Steals[p] = acc[p].Stolen
-		}
-	}
+	cr := ps.Result()
+	m.rec.AddIdle(cr.Idle)
 	return cr, nil
-}
-
-// idleOf sums each processor's wall-clock wait for the slowest one.
-func idleOf(acc []sched.PerWorker) time.Duration {
-	var m, idle int64
-	for i := range acc {
-		if acc[i].ElapsedNS > m {
-			m = acc[i].ElapsedNS
-		}
-	}
-	for i := range acc {
-		idle += m - acc[i].ElapsedNS
-	}
-	return time.Duration(idle)
 }
 
 // generateParallel partitions the join units of F_{k-1}'s equivalence

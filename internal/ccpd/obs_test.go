@@ -11,6 +11,7 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/hashtree"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // TestObsEquivalence is the observer-effect gate: mining with a recorder
@@ -92,9 +93,9 @@ func TestObsConcurrentRecording(t *testing.T) {
 
 // TestTraceMatchesStats cross-checks the two reporting paths: the per-track
 // chunk spans in the exported trace must agree with the PhaseTiming
-// ChunksClaimed/Steals counters and the metrics snapshot, per processor,
-// with the paper's counting and with Options.Project, whose passes from k=4
-// on claim chunks of the residue.
+// ChunksClaimed counters and the metrics snapshot, per processor, with the
+// paper's counting and with Options.Project, whose passes from k=4 on claim
+// chunks of the residue.
 func TestTraceMatchesStats(t *testing.T) {
 	for _, project := range []bool{false, true} {
 		t.Run(fmt.Sprintf("project=%v", project), func(t *testing.T) { traceMatchesStats(t, project) })
@@ -116,13 +117,9 @@ func traceMatchesStats(t *testing.T, project bool) {
 	}
 
 	wantClaimed := make([]int64, procs)
-	wantSteals := make([]int64, procs)
 	for _, it := range stats.PerIter {
 		for p, c := range it.ChunksClaimed {
 			wantClaimed[p] += c
-		}
-		for p, s := range it.Steals {
-			wantSteals[p] += s
 		}
 	}
 
@@ -142,21 +139,14 @@ func traceMatchesStats(t *testing.T, project bool) {
 		t.Fatalf("trace JSON invalid: %v", err)
 	}
 	gotChunks := make([]int64, procs)
-	gotSteals := make([]int64, procs)
 	for _, ev := range doc.TraceEvents {
 		if ev.Cat == "chunk" && ev.Ph == "B" {
 			gotChunks[ev.Tid]++
-		}
-		if ev.Cat == "steal" && ev.Ph == "f" {
-			gotSteals[ev.Tid]++
 		}
 	}
 	for p := 0; p < procs; p++ {
 		if gotChunks[p] != wantClaimed[p] {
 			t.Errorf("proc %d: %d chunk spans in trace, Stats says %d claimed", p, gotChunks[p], wantClaimed[p])
-		}
-		if gotSteals[p] != wantSteals[p] {
-			t.Errorf("proc %d: %d steal flows in trace, Stats says %d steals", p, gotSteals[p], wantSteals[p])
 		}
 		if snap.Workers[p].Claimed != wantClaimed[p] {
 			t.Errorf("proc %d: snapshot claims %d, Stats says %d", p, snap.Workers[p].Claimed, wantClaimed[p])
@@ -164,15 +154,16 @@ func traceMatchesStats(t *testing.T, project bool) {
 	}
 }
 
-// TestSplitRangeBounds pins the int64 reduce fan-out math: ranges must tile
-// [0, n) exactly even when n is at the top of the int32 range, where the
-// former int32(p*n/procs) expression overflowed int before converting.
+// TestSplitRangeBounds pins the int64 math of the reduce fan-out
+// (sched.Blocks): ranges must tile [0, n) exactly even when n is at the top
+// of the int32 range, where the former int32(p*n/procs) expression
+// overflowed int before converting.
 func TestSplitRangeBounds(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1 << 20, math.MaxInt32 - 3, math.MaxInt32} {
 		for _, procs := range []int{1, 2, 3, 7, 64} {
 			prevHi := 0
-			for p := 0; p < procs; p++ {
-				lo, hi := splitRange(p, procs, n)
+			for p, r := range sched.Blocks(n, procs) {
+				lo, hi := r.Lo, r.Hi
 				if lo != prevHi {
 					t.Fatalf("n=%d procs=%d p=%d: lo=%d, want %d (gap or overlap)", n, procs, p, lo, prevHi)
 				}

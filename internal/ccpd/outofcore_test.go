@@ -36,7 +36,7 @@ func segStore(t *testing.T, d *db.Database, wopts seg.WriterOptions) *seg.Reader
 // boundaries that do NOT align with the chunk grid, so chunks straddle
 // segment edges — must reproduce the in-RAM run's frequent sets AND its
 // deterministic work model (per-iteration CountWork and ModelTime, IdleWork)
-// bit-for-bit. Claims/steals are runtime figures and are only checked for
+// bit-for-bit. Claims are runtime figures and are only checked for
 // consistency, not equality.
 func TestSegmentedMatchesInRAM(t *testing.T) {
 	d, err := gen.Generate(gen.Params{N: 60, L: 15, I: 3, T: 6, D: 700, Seed: 17})

@@ -56,7 +56,6 @@ func snapshotOf(pt *PhaseTiming) ckpt.IterSnapshot {
 		GenWork:       pt.GenWork,
 		CountWork:     pt.CountWork,
 		ChunksClaimed: pt.ChunksClaimed,
-		Steals:        pt.Steals,
 	}
 }
 
@@ -74,7 +73,6 @@ func timingOf(s *ckpt.IterSnapshot) PhaseTiming {
 		GenWork:       s.GenWork,
 		CountWork:     s.CountWork,
 		ChunksClaimed: s.ChunksClaimed,
-		Steals:        s.Steals,
 	}
 }
 

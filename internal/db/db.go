@@ -5,6 +5,7 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/itemset"
@@ -83,13 +84,21 @@ var maxArenaItems = int64(1<<31 - 1)
 // without any error at the Append that overflowed it.
 var ErrArenaFull = fmt.Errorf("db: item arena full (int32 offsets address at most %d item occurrences)", maxArenaItems)
 
-// TryAppend adds a transaction, returning ErrArenaFull when the arena would
-// outgrow the int32 offset encoding. items must be sorted (itemset
-// invariant); TryAppend panics if not, since an unsorted transaction
-// silently corrupts subset counting.
+// ErrNegativeItem reports a transaction holding an item below 0. Items
+// index every engine's per-item arrays, and the universe bound only ever
+// rises, so a negative item would pass every other check.
+var ErrNegativeItem = errors.New("db: negative item")
+
+// TryAppend adds a transaction, returning ErrNegativeItem for an item below
+// 0 and ErrArenaFull when the arena would outgrow the int32 offset encoding.
+// items must be sorted (itemset invariant); TryAppend panics if not, since
+// an unsorted transaction silently corrupts subset counting.
 func (d *Database) TryAppend(tid int64, items itemset.Itemset) error {
 	if !items.IsSorted() {
 		panic(fmt.Sprintf("db: transaction %d not sorted: %v", tid, items))
+	}
+	if len(items) > 0 && items[0] < 0 {
+		return fmt.Errorf("%w %d in transaction %d", ErrNegativeItem, items[0], tid)
 	}
 	if int64(len(d.arena))+int64(len(items)) > maxArenaItems {
 		return ErrArenaFull
@@ -105,10 +114,10 @@ func (d *Database) TryAppend(tid int64, items itemset.Itemset) error {
 	return nil
 }
 
-// Append adds a transaction, panicking when the arena is full (TryAppend is
-// the checked variant). In-memory builders stay below the int32 limit by
-// construction; readers of external data must use TryAppend and surface
-// ErrArenaFull.
+// Append adds a transaction, panicking on a negative item or a full arena
+// (TryAppend is the checked variant). In-memory builders stay below the
+// int32 limit by construction; readers of external data must use TryAppend
+// and surface its errors.
 func (d *Database) Append(tid int64, items itemset.Itemset) {
 	if err := d.TryAppend(tid, items); err != nil {
 		panic(err)

@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -75,6 +76,22 @@ func TestAppendPanicsOnUnsorted(t *testing.T) {
 	}()
 	d := New(10)
 	d.Append(1, itemset.Itemset{5, 3})
+}
+
+// TestAppendRefusesNegativeItem: a negative item would index every
+// engine's per-item arrays out of range, so TryAppend refuses the row and
+// leaves the database as it was, and Append panics.
+func TestAppendRefusesNegativeItem(t *testing.T) {
+	d := New(0)
+	if err := d.TryAppend(1, itemset.New(-1, 2)); !errors.Is(err, ErrNegativeItem) || d.Len() != 0 || d.NumItems() != 0 {
+		t.Fatalf("TryAppend = %v leaving %d rows over %d items, want ErrNegativeItem and no change", err, d.Len(), d.NumItems())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Append of a negative item should panic")
+		}
+	}()
+	d.Append(1, itemset.New(-1, 2))
 }
 
 func TestEmptyDatabase(t *testing.T) {

@@ -168,7 +168,7 @@ func VBitArenaBytes(info DBInfo) int64 {
 }
 
 // Plan picks the engine for a database; every plan counts with the
-// work-stealing partition.
+// stealing partition, whose workers claim chunks from a shared cursor.
 //
 // The engine choice compares two counting-cost models in item-touch units.
 // The horizontal hash-tree engine streams every item occurrence once per
@@ -186,9 +186,10 @@ func VBitArenaBytes(info DBInfo) int64 {
 // than 2³¹−1 transactions, past the columns' int32 tids. A database with no
 // item occurrences plans ccpd, whose scan trivially no-ops.
 //
-// The partition is work stealing in sched.ChunkFor chunks for every plan:
-// stealing bounds a transaction-length skew's imbalance at one chunk a
-// processor wherever the long rows sit, so the planner need not find them.
+// The partition is PartitionStealing in sched.ChunkFor chunks for every
+// plan: claiming bounds a transaction-length skew's imbalance at one chunk
+// a processor wherever the long rows sit, so the planner need not find
+// them.
 // Only the hash-tree engine family consumes DBPart; the vertical engines
 // reuse ChunkSize as their poll stride.
 func (pl Planner) Plan(info DBInfo) Plan {

@@ -56,7 +56,7 @@ func TestCharacterize(t *testing.T) {
 // TestPlannerGoldens pins the planner's decision for each workload shape and
 // checks the decision is justified by the recorded estimates — the chosen
 // engine must be the feasible one with the lower modelled cost. Every shape
-// counts with work stealing, skewed or not.
+// counts with claimed chunks (stealing), skewed or not.
 func TestPlannerGoldens(t *testing.T) {
 	want := map[string]plannedChoice{
 		"dense":         {engine: "vbit", dbpart: ccpd.PartitionStealing},

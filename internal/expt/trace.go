@@ -10,12 +10,13 @@ import (
 )
 
 // TraceSkewed mines the skew-planted T10.I4.D100K variant (the SchedBalance
-// worst case for static partitions) under the stealing scheduler with a
-// recorder attached, and writes the resulting Chrome trace JSON to traceW
-// and a Prometheus metrics snapshot to metricsW (either may be nil to skip).
-// The run uses fine chunks so steals actually happen — the exported trace is
-// the harness's canonical "watch work-stealing rebalance a skewed counting
-// phase in Perfetto" artifact (see EXPERIMENTS.md).
+// worst case for static partitions) under the stealing partition, whose
+// workers claim chunks from one shared cursor, with a recorder attached, and
+// writes the resulting Chrome trace JSON to traceW and a Prometheus metrics
+// snapshot to metricsW (either may be nil to skip). The run uses fine chunks,
+// so the claims spread the heavy tail over every processor — the exported
+// trace is the harness's canonical "watch dynamic claiming rebalance a
+// skewed counting phase in Perfetto" artifact (see EXPERIMENTS.md).
 func (r *Runner) TraceSkewed(traceW, metricsW io.Writer, procs int) error {
 	if procs < 2 {
 		procs = 4

@@ -210,7 +210,7 @@ type CountCtx struct {
 
 	// itemStamp[it] == txSerial ⇔ item it occurs in the current transaction,
 	// turning the per-candidate containment merge into k O(1) probes. Sized
-	// by Flat.stampLen; nil disables the fast path (negative candidate items).
+	// like Flat.candItem.
 	itemStamp []uint64
 
 	// proj receives the projected transaction (CountOpts.Project): sized by
@@ -237,11 +237,9 @@ func (t *Tree) NewCountCtx(counters *Counters, opts CountOpts) *CountCtx {
 	ctx.visit = make([]uint64, (k+1)*f.fanout)
 	ctx.epoch = make([]uint64, k+1)
 	ctx.leafStamp = make([]uint64, f.NumNodes())
-	if f.stampLen > 0 {
-		ctx.itemStamp = make([]uint64, f.stampLen)
-		if opts.Project {
-			ctx.proj = make(itemset.Itemset, f.candItems)
-		}
+	ctx.itemStamp = make([]uint64, len(f.candItem))
+	if opts.Project {
+		ctx.proj = make(itemset.Itemset, f.candItems)
 	}
 	ctx.stack = make([]walkFrame, k+1)
 	return ctx
@@ -286,10 +284,10 @@ func (ctx *CountCtx) CountTransaction(items itemset.Itemset) itemset.Itemset {
 			return nil
 		}
 		items = proj[:n]
-	} else if stamp := ctx.itemStamp; stamp != nil {
-		n := itemset.Item(len(stamp))
+	} else {
+		stamp := ctx.itemStamp
 		for _, it := range items {
-			if it >= 0 && it < n {
+			if uint(it) < uint(len(stamp)) {
 				stamp[it] = ctx.txSerial
 			}
 		}
@@ -313,7 +311,7 @@ func (ctx *CountCtx) walk(items itemset.Itemset) {
 	ctx.Work += WorkNodeVisit
 	rootBase := f.childBase[0]
 	if rootBase < 0 {
-		ctx.scanLeaf(0, items)
+		ctx.scanLeaf(0)
 		return
 	}
 	var ep uint64
@@ -348,7 +346,7 @@ func (ctx *CountCtx) walk(items itemset.Itemset) {
 			ctx.Work += WorkNodeVisit
 			childBase := f.childBase[child]
 			if childBase < 0 {
-				ctx.scanLeaf(child, items)
+				ctx.scanLeaf(child)
 				continue
 			}
 			depth++
@@ -367,10 +365,11 @@ func (ctx *CountCtx) walk(items itemset.Itemset) {
 	}
 }
 
-// scanLeaf runs the containment merge over one leaf's candidate list.
+// scanLeaf tests each candidate of one leaf's list against the current
+// transaction's item stamps.
 //
 //armlint:noalloc
-func (ctx *CountCtx) scanLeaf(node int32, items itemset.Itemset) {
+func (ctx *CountCtx) scanLeaf(node int32) {
 	if !ctx.opts.ShortCircuit {
 		// Base case: leaf-level VISITED stamp prevents double counting
 		// when multiple root paths reach the same leaf.
@@ -385,27 +384,17 @@ func (ctx *CountCtx) scanLeaf(node int32, items itemset.Itemset) {
 	// A leaf scan walks one list node and runs a containment merge over a
 	// k-itemset, so its cost grows with k.
 	ctx.Work += int64(hi-lo) * int64(WorkLeafCand+k)
-	if stamp := ctx.itemStamp; stamp != nil {
-		serial := ctx.txSerial
-		cands := f.cands
-		for _, cand := range f.leafItems[lo:hi] {
-			base := int(cand) * k
-			contained := true
-			for _, it := range cands[base : base+k] {
-				if stamp[it] != serial {
-					contained = false
-					break
-				}
-			}
-			if contained {
-				ctx.counters.add(cand, ctx.opts.Proc)
-				ctx.Work += WorkCtrUpdate
+	stamp, serial, cands := ctx.itemStamp, ctx.txSerial, f.cands
+	for _, cand := range f.leafItems[lo:hi] {
+		base := int(cand) * k
+		contained := true
+		for _, it := range cands[base : base+k] {
+			if stamp[it] != serial {
+				contained = false
+				break
 			}
 		}
-		return
-	}
-	for _, cand := range f.leafItems[lo:hi] {
-		if items.Contains(f.candidate(cand)) {
+		if contained {
 			ctx.counters.add(cand, ctx.opts.Proc)
 			ctx.Work += WorkCtrUpdate
 		}

@@ -36,19 +36,14 @@ type Flat struct {
 	cands     []itemset.Item // flat candidate storage, K items each
 	nCand     int32
 
-	// stampLen sizes the per-context transaction item-stamp array: one past
-	// the largest item appearing in any candidate. A transaction item outside
-	// [0, stampLen) can never match a candidate item, so stamping only the
-	// in-range transaction items keeps the O(1) membership test exact.
-	// 0 when some candidate item is negative (malformed input) — contexts
-	// then fall back to the merge-walk containment test.
-	stampLen int
-
-	// candItem[it] reports whether item it occurs in some candidate, for it
-	// in [0, stampLen); candItems counts its true entries. Projected
-	// counting (CountOpts.Project) keeps only those transaction items, so a
-	// projected transaction never holds more than candItems items. nil
-	// exactly when stampLen is 0.
+	// candItem[it] reports whether item it occurs in some candidate; its
+	// length is one past the largest candidate item, which also sizes the
+	// per-context item-stamp array. A transaction item outside it can never
+	// match a candidate item, so stamping only the in-range transaction
+	// items keeps the O(1) membership test exact. candItems counts its true
+	// entries. Projected counting (CountOpts.Project) keeps only those
+	// transaction items, so a projected transaction never holds more than
+	// candItems items.
 	candItem  []bool
 	candItems int
 }
@@ -58,13 +53,6 @@ func (f *Flat) NumNodes() int { return len(f.childBase) }
 
 // NumCandidates returns the candidate count.
 func (f *Flat) NumCandidates() int { return int(f.nCand) }
-
-// candidate returns candidate id's itemset view into the flat arena.
-//
-//armlint:noalloc
-func (f *Flat) candidate(id int32) itemset.Itemset {
-	return itemset.Itemset(f.cands[int(id)*f.k : int(id)*f.k+f.k])
-}
 
 // cell hashes an item to a hash-table cell — the same rules as Tree.cell.
 //
@@ -103,22 +91,13 @@ func (t *Tree) buildFlat() *Flat {
 	}
 	maxItem := itemset.Item(-1)
 	for _, it := range t.cands {
-		if it < 0 {
-			maxItem = -1
-			break
-		}
-		if it > maxItem {
-			maxItem = it
-		}
+		maxItem = max(maxItem, it)
 	}
-	f.stampLen = int(maxItem) + 1
-	if f.stampLen > 0 {
-		f.candItem = make([]bool, f.stampLen)
-		for _, it := range t.cands {
-			if !f.candItem[it] {
-				f.candItem[it] = true
-				f.candItems++
-			}
+	f.candItem = make([]bool, int(maxItem)+1)
+	for _, it := range t.cands {
+		if !f.candItem[it] {
+			f.candItem[it] = true
+			f.candItems++
 		}
 	}
 	var internal, leafCands int

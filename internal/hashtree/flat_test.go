@@ -17,8 +17,8 @@ func TestFlatShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf := sparse.Freeze()
-	if sf.stampLen != 10 || len(sf.candItem) != 10 || sf.candItems != 4 {
-		t.Fatalf("stampLen %d, candItem len %d, candItems %d; want 10, 10, 4", sf.stampLen, len(sf.candItem), sf.candItems)
+	if len(sf.candItem) != 10 || sf.candItems != 4 {
+		t.Fatalf("candItem len %d, candItems %d; want 10, 4", len(sf.candItem), sf.candItems)
 	}
 	for it, in := range sf.candItem {
 		if want := it == 1 || it == 3 || it == 5 || it == 9; in != want {

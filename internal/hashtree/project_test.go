@@ -104,35 +104,12 @@ func TestProjectedCountMatchesUnprojected(t *testing.T) {
 	}
 }
 
-// TestProjectNeedsItemStamps: a negative candidate item turns the item-stamp
-// fast path off, and with it the projection, so the walk and its work are
-// the unprojected ones.
-func TestProjectNeedsItemStamps(t *testing.T) {
-	cands := []itemset.Itemset{{-3, 1}, itemset.New(1, 2), itemset.New(2, 4)}
-	tr, err := Build(Config{K: 2, Fanout: 2, Threshold: 8, NumItems: 6}, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs := []itemset.Itemset{{-3, 1, 2}, itemset.New(1, 2, 4, 5), itemset.New(0, 5)}
-	plain := tr.CountDatabase(txs, CountOpts{ShortCircuit: true})
-	proj := NewCounters(CounterPrivate, tr.NumCandidates(), 1)
-	pctx := tr.NewCountCtx(proj, CountOpts{ShortCircuit: true, Project: true})
-	uctx := tr.NewCountCtx(NewCounters(CounterPrivate, tr.NumCandidates(), 1), CountOpts{ShortCircuit: true})
-	if pctx.proj != nil {
-		t.Fatal("projection buffer allocated without item stamps")
-	}
-	for _, tx := range txs {
-		pctx.CountTransaction(tx)
-		uctx.CountTransaction(tx)
-	}
-	proj.Reduce()
-	if pctx.Work != uctx.Work {
-		t.Errorf("work %d with Project, %d without", pctx.Work, uctx.Work)
-	}
-	for id := int32(0); id < int32(tr.NumCandidates()); id++ {
-		if proj.Count(id) != plain.Count(id) {
-			t.Errorf("candidate %v: %d with Project, %d without", tr.Candidate(id), proj.Count(id), plain.Count(id))
-		}
+// TestInsertRefusesNegativeItem: every candidate item indexes the counting
+// contexts' item stamps, so the tree refuses a negative one.
+func TestInsertRefusesNegativeItem(t *testing.T) {
+	tr := New(Config{K: 2, Fanout: 2, Threshold: 8, NumItems: 6})
+	if _, err := tr.Insert(itemset.Itemset{-3, 1}); err == nil || tr.NumCandidates() != 0 {
+		t.Errorf("Insert of a negative item: err %v, %d candidates; want an error and none", err, tr.NumCandidates())
 	}
 }
 

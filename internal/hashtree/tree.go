@@ -252,12 +252,17 @@ func (t *Tree) logSplit(id int32) {
 // Insert adds a candidate k-itemset and returns its candidate id. It is
 // safe for concurrent use: descent uses per-node locking and leaf splits
 // happen with the leaf's lock held, implementing the Section 3.1.4 scheme.
+// Items are non-negative, as db.Database.TryAppend requires of every row,
+// so each one indexes the counting contexts' item stamps.
 func (t *Tree) Insert(s itemset.Itemset) (int32, error) {
 	if len(s) != t.cfg.K {
 		return -1, fmt.Errorf("hashtree: inserting %d-itemset into K=%d tree", len(s), t.cfg.K)
 	}
 	if !s.IsSorted() {
 		return -1, fmt.Errorf("hashtree: itemset %v not sorted", s)
+	}
+	if s[0] < 0 {
+		return -1, fmt.Errorf("hashtree: itemset %v holds a negative item", s)
 	}
 	cand := t.addCandidate(s.Clone())
 	t.insertCand(cand, s)

@@ -9,9 +9,8 @@ import (
 // WriteTrace exports every buffered event as Chrome trace_event JSON
 // (loadable in Perfetto / chrome://tracing). The timeline has one track
 // ("thread") per processor plus a "master" track for the coordinating
-// goroutine: phase spans are B/E duration events, chunk spans nest inside
-// them, and steals are flow arrows drawn from
-// the victim's track to the thief's chunk span.
+// goroutine: phase spans are B/E duration events, and chunk spans nest
+// inside them.
 //
 // Call only after mining completes (the per-worker buffers are single-writer
 // between pool barriers). The export path allocates freely — it is off the
@@ -55,7 +54,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		emit(`{"name":"thread_sort_index","ph":"M","pid":1,"tid":%d,"args":{"sort_index":%d}}`, p, p)
 	}
 
-	flowID := 0
 	for p := range r.workers {
 		tid := p
 		r.workers[p].events(func(ev event) {
@@ -71,15 +69,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 					tid, us, ev.arg, ev.k)
 			case evEndChunk:
 				emit(`{"ph":"E","pid":1,"tid":%d,"ts":%.3f}`, tid, us)
-			case evSteal:
-				// Flow arrow: start bound to whatever span is live on the
-				// victim's track at the steal instant (its phase span at
-				// minimum), finish bound to the thief's next chunk span.
-				flowID++
-				emit(`{"name":"steal","cat":"steal","ph":"s","id":%d,"pid":1,"tid":%d,"ts":%.3f,"args":{"chunk":%d,"k":%d}}`,
-					flowID, ev.aux, us, ev.arg, ev.k)
-				emit(`{"name":"steal","cat":"steal","ph":"f","bp":"e","id":%d,"pid":1,"tid":%d,"ts":%.3f}`,
-					flowID, tid, us)
 			case evBeginSeg:
 				emit(`{"name":%q,"cat":"seg","ph":"B","pid":1,"tid":%d,"ts":%.3f,"args":{"seg":%d}}`,
 					SegKind(ev.phase).String(), tid, us, ev.arg)

@@ -20,13 +20,11 @@ type traceEvent struct {
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	Ts   float64        `json:"ts"`
-	ID   int            `json:"id"`
-	Bp   string         `json:"bp"`
 	Args map[string]any `json:"args"`
 }
 
 // record a small but complete run shape: a phase span per track enclosing
-// chunk spans, one steal, plus master-track phase spans.
+// chunk spans, plus master-track phase spans.
 func recordSample(t *testing.T) *Recorder {
 	t.Helper()
 	r := NewRecorder(2)
@@ -39,7 +37,6 @@ func recordSample(t *testing.T) *Recorder {
 			w.BeginChunk(2, 2*p)
 			w.EndChunk(2, 2*p)
 			if p == 1 {
-				w.Steal(2, 3, 0)
 				w.BeginChunk(2, 3)
 				w.EndChunk(2, 3)
 			}
@@ -94,30 +91,6 @@ func TestWriteTraceValidJSON(t *testing.T) {
 		}
 	}
 
-	// The steal must export as an s/f flow pair sharing an id, started on
-	// the victim's track and finished on the thief's.
-	var starts, finishes []traceEvent
-	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "s":
-			starts = append(starts, ev)
-		case "f":
-			finishes = append(finishes, ev)
-		}
-	}
-	if len(starts) != 1 || len(finishes) != 1 {
-		t.Fatalf("flow events: %d starts, %d finishes, want 1/1", len(starts), len(finishes))
-	}
-	if starts[0].ID != finishes[0].ID {
-		t.Error("flow pair ids differ")
-	}
-	if starts[0].Tid != 0 || finishes[0].Tid != 1 {
-		t.Errorf("flow runs tid %d → %d, want victim 0 → thief 1", starts[0].Tid, finishes[0].Tid)
-	}
-	if finishes[0].Bp != "e" {
-		t.Error(`flow finish missing bp:"e" (must bind to enclosing slice)`)
-	}
-
 	// Chunk spans: BeginChunk count per tid must match the claimed counters.
 	chunkB := map[int]int64{}
 	for _, ev := range doc.TraceEvents {
@@ -156,11 +129,10 @@ func TestWriteMetricsFormat(t *testing.T) {
 	for _, want := range []string{
 		`armine_chunks_claimed_total{proc="0"} 1`,
 		`armine_chunks_claimed_total{proc="1"} 2`,
-		`armine_steals_total{proc="1"} 1`,
 		`armine_candidates{k="2"} 12`,
 		`armine_frequent{k="2"} 7`,
 		`armine_cachesim_miss_rate{policy="gpp"} 0.125`,
-		"# TYPE armine_steals_total counter",
+		"# TYPE armine_chunks_claimed_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n%s", want, out)

@@ -9,7 +9,6 @@ import (
 type WorkerStats struct {
 	Proc      int
 	Claimed   int64 // chunks claimed
-	Stolen    int64 // chunks stolen from other workers
 	WorkUnits int64 // deterministic work units
 	Events    int   // buffered events on this track
 	Dropped   int64 // events recycled out of a saturated ring
@@ -46,7 +45,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 		// even when a recycle lands between the two loads.
 		dropped := w.dropped.Load()
 		s.Workers = append(s.Workers, WorkerStats{
-			Proc: p, Claimed: w.claimed.Load(), Stolen: w.stolen.Load(), WorkUnits: w.workUnits.Load(),
+			Proc: p, Claimed: w.claimed.Load(), WorkUnits: w.workUnits.Load(),
 			Events: int(w.recorded.Load() - dropped), Dropped: dropped,
 		})
 	}
@@ -59,7 +58,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 }
 
 // WriteMetrics renders the snapshot in Prometheus text exposition format:
-// per-processor chunk/steal/work counters, counting idle time, per-k
+// per-processor chunk and work counters, counting idle time, per-k
 // candidate and frequent series, and any gauges (e.g. cachesim miss rates
 // when a placement replay ran). Output order is deterministic. Safe to call
 // concurrently with a running mine — this is the armined /metrics scrape
@@ -77,11 +76,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	series("armine_chunks_claimed_total", "counting chunks claimed per processor", "counter", func(out io.Writer) {
 		for _, ws := range s.Workers {
 			fmt.Fprintf(out, "armine_chunks_claimed_total{proc=\"%d\"} %d\n", ws.Proc, ws.Claimed)
-		}
-	})
-	series("armine_steals_total", "chunks stolen from another processor's deque", "counter", func(out io.Writer) {
-		for _, ws := range s.Workers {
-			fmt.Fprintf(out, "armine_steals_total{proc=\"%d\"} %d\n", ws.Proc, ws.Stolen)
 		}
 	})
 	series("armine_work_units_total", "deterministic counting work units per processor", "counter", func(out io.Writer) {

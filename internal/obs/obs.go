@@ -1,6 +1,6 @@
 // Package obs is the low-overhead observability layer of the mining stack:
-// per-worker event buffers record phase begin/end, chunk claims and steals
-// as monotonic-clock spans, exportable as a Chrome
+// per-worker event buffers record phase begin/end and chunk claims as
+// monotonic-clock spans, exportable as a Chrome
 // trace_event JSON timeline (one track per "processor", viewable in
 // Perfetto), a Prometheus-text metrics snapshot, and runtime/pprof labels
 // that segment CPU profiles by mining phase.
@@ -99,14 +99,12 @@ func (k SegKind) String() string {
 	return "seg_unknown"
 }
 
-// Event kinds. Begin/end pairs form spans; a steal is an instant, exported
-// as a flow arrow from the victim's track to the thief's.
+// Event kinds. Begin/end pairs form spans.
 const (
 	evBeginPhase uint8 = iota
 	evEndPhase
 	evBeginChunk
 	evEndChunk
-	evSteal
 	evBeginSeg
 	evEndSeg
 )
@@ -115,12 +113,11 @@ const (
 // single flat allocation and appending never writes a heap header.
 type event struct {
 	ts    int64 // monotonic ns since the recorder epoch
-	arg   int64 // chunk id (chunk spans, steals) or segment (seg spans)
-	aux   int32 // victim processor (steals)
+	arg   int64 // chunk id (chunk spans) or segment (seg spans)
 	k     int32 // iteration stamp
 	kind  uint8
 	phase uint8
-	_     [6]byte // pad to 32 so segments tile cache lines exactly
+	_     [10]byte // pad to 32 so segments tile cache lines exactly
 }
 
 const (
@@ -150,8 +147,6 @@ type Worker struct {
 	//armlint:hot
 	claimed atomic.Int64 // chunks claimed
 	//armlint:hot
-	stolen atomic.Int64 // chunks stolen from other workers
-	//armlint:hot
 	workUnits atomic.Int64 // deterministic work units
 	//armlint:hot
 	dropped atomic.Int64 // events recycled out of a saturated ring
@@ -159,6 +154,7 @@ type Worker struct {
 	recorded atomic.Int64 // events ever recorded (buffered = recorded − dropped)
 	full     [][]event
 	free     [][]event
+	_        [8]byte // pad to two cache lines
 }
 
 // Recorder owns the per-worker buffers, the master track, and the
@@ -386,7 +382,6 @@ func (r *Recorder) Reset() {
 		w.full = w.full[:0]
 		w.cur = w.cur[:0]
 		w.claimed.Store(0)
-		w.stolen.Store(0)
 		w.workUnits.Store(0)
 		w.dropped.Store(0)
 		w.recorded.Store(0)
@@ -447,16 +442,6 @@ func (w *Worker) EndChunk(k, chunk int) {
 		return
 	}
 	w.record(event{ts: w.rec.now(), arg: int64(chunk), k: int32(k), kind: evEndChunk, phase: uint8(PhaseCount)})
-}
-
-// Steal records that this worker took chunk from victim's deque; the trace
-// export draws it as a flow arrow from the victim's track to this one.
-func (w *Worker) Steal(k, chunk, victim int) {
-	if w == nil {
-		return
-	}
-	w.stolen.Add(1)
-	w.record(event{ts: w.rec.now(), arg: int64(chunk), aux: int32(victim), k: int32(k), kind: evSteal, phase: uint8(PhaseCount)})
 }
 
 // BeginSeg opens a segment-pipeline span (seg_load / seg_count /

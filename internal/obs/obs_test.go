@@ -53,7 +53,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 	w.BeginChunk(2, 0)
 	w.EndChunk(2, 0)
-	w.Steal(2, 0, 1)
 	w.AddWork(100)
 	if err := r.WriteTrace(io.Discard); err == nil {
 		t.Error("WriteTrace on nil recorder should error")
@@ -71,7 +70,6 @@ func TestRecordSteadyStateZeroAlloc(t *testing.T) {
 	w := r.Worker(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		w.BeginChunk(2, 7)
-		w.Steal(2, 7, 1)
 		w.EndChunk(2, 7)
 		w.AddWork(10)
 	})
@@ -181,7 +179,6 @@ func TestSnapshotAggregates(t *testing.T) {
 	w0.BeginChunk(2, 0)
 	w0.EndChunk(2, 0)
 	w0.AddWork(40)
-	w1.Steal(2, 0, 0)
 	w1.BeginChunk(2, 0)
 	w1.EndChunk(2, 0)
 	w1.AddWork(60)
@@ -197,7 +194,7 @@ func TestSnapshotAggregates(t *testing.T) {
 	if s.Workers[0].Claimed != 1 || s.Workers[0].WorkUnits != 40 {
 		t.Errorf("worker 0 stats = %+v", s.Workers[0])
 	}
-	if s.Workers[1].Claimed != 1 || s.Workers[1].Stolen != 1 || s.Workers[1].WorkUnits != 60 {
+	if s.Workers[1].Claimed != 1 || s.Workers[1].WorkUnits != 60 {
 		t.Errorf("worker 1 stats = %+v", s.Workers[1])
 	}
 	if len(s.Iters) != 1 || s.Iters[0] != (IterStat{K: 2, Candidates: 9, Frequent: 4}) {
@@ -234,7 +231,6 @@ func TestScrapeDuringRecording(t *testing.T) {
 				default:
 				}
 				w.BeginChunk(2, i)
-				w.Steal(2, i, (p+1)%procs)
 				w.AddWork(10)
 				w.EndChunk(2, i)
 			}

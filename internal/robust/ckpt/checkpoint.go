@@ -33,12 +33,19 @@ import (
 //	numIters   int64
 //	numIters ×: K int64, Candidates int64, Frequent int64, GenSequential uint8,
 //	            Batches int64, BuildWork int64, ReduceWork int64,
-//	            4 × (len int64, len × int64)   GenWork, CountWork, ChunksClaimed, Steals
+//	            4 × (len int64, len × int64)   GenWork, CountWork, ChunksClaimed, unused
 //
-// Everything serialized is deterministic-model state: wall-clock phase
-// durations are deliberately absent, so a resumed run's pinned work-model
-// totals (TestModelTimePinned) are bit-identical to a straight-through run
-// while its wall clock reflects only the work it actually performed.
+// The fourth vector held per-processor chunk steals while the stealing
+// partition claimed from work-stealing deques. It is written empty and
+// skipped on read, so the layout stays version 1 and older files load.
+//
+// Wall-clock phase durations are deliberately absent, so a resumed run's
+// pinned work-model totals (TestModelTimePinned) are bit-identical to a
+// straight-through run while its wall clock reflects only the work it
+// actually performed. Everything serialized is deterministic-model state
+// except ChunksClaimed: the claims are observed and vary from run to run,
+// and are carried only so a resumed run reports the claims of every
+// iteration.
 
 const ckptMagic = "ARMCKPT1"
 
@@ -52,8 +59,9 @@ const (
 )
 
 // IterSnapshot is the deterministic slice of one iteration's PhaseTiming:
-// the work-model fields the pinned tests gate on, without the wall-clock
-// durations (which a resumed run cannot and should not reproduce).
+// the work-model fields the pinned tests gate on, plus the observed chunk
+// claims, without the wall-clock durations (which a resumed run cannot and
+// should not reproduce).
 type IterSnapshot struct {
 	K             int
 	Candidates    int
@@ -66,9 +74,8 @@ type IterSnapshot struct {
 	ReduceWork int64
 	GenWork    []int64
 	CountWork  []int64
-	// ChunksClaimed and Steals are nil for static partition modes.
+	// ChunksClaimed is nil for static partition modes.
 	ChunksClaimed []int64
-	Steals        []int64
 }
 
 // Checkpoint is one versioned snapshot of a mining run after a completed
@@ -129,7 +136,7 @@ func (c *Checkpoint) Write(w io.Writer) error {
 		wi(int64(it.Batches))
 		wi(it.BuildWork)
 		wi(it.ReduceWork)
-		for _, vec := range [][]int64{it.GenWork, it.CountWork, it.ChunksClaimed, it.Steals} {
+		for _, vec := range [][]int64{it.GenWork, it.CountWork, it.ChunksClaimed, nil} {
 			wi(int64(len(vec)))
 			for _, v := range vec {
 				wi(v)
@@ -235,7 +242,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		it.Batches = int(ri())
 		it.BuildWork = ri()
 		it.ReduceWork = ri()
-		for v, dst := range []*[]int64{&it.GenWork, &it.CountWork, &it.ChunksClaimed, &it.Steals} {
+		var unused []int64
+		for v, dst := range []*[]int64{&it.GenWork, &it.CountWork, &it.ChunksClaimed, &unused} {
 			n := ri()
 			if err != nil {
 				return nil, fmt.Errorf("ckpt: checkpoint iter %d vec %d: %w", i, v, err)

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,8 +40,7 @@ func sampleCheckpoint() *Checkpoint {
 				BuildWork: 5, ReduceWork: 9,
 				GenWork:       []int64{1, 2, 3, 4},
 				CountWork:     []int64{20, 21, 22, 23},
-				ChunksClaimed: []int64{2, 2, 2, 2},
-				Steals:        []int64{0, 1, 0, 0}},
+				ChunksClaimed: []int64{2, 2, 2, 2}},
 		},
 	}
 }
@@ -61,6 +61,31 @@ func TestRoundTrip(t *testing.T) {
 	want.ByK[0] = []apriori.FrequentItemset{}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("roundtrip mismatch:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReadsFilledFourthVector: checkpoints written while the stealing
+// partition counted steals carry a non-empty fourth per-iteration vector.
+// The reader skips it, so those files still load.
+func TestReadsFilledFourthVector(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleCheckpoint().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The file ends with the last iteration's fourth vector, written empty:
+	// its length field alone. Replace it with four steal counts.
+	raw := buf.Bytes()[:buf.Len()-8]
+	for _, v := range []int64{4, 0, 1, 0, 0} {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(v))
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleCheckpoint()
+	want.ByK[0] = []apriori.FrequentItemset{}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // NumChunks returns how many size-sized chunks cover n items (the last chunk
 // may be short). Zero when n or size is not positive.
@@ -33,7 +30,7 @@ func ChunkRange(c, size, base, end int) (lo, hi int) {
 
 // ChunkFor is the chunk size for a pass of rows transactions over procs
 // workers: about 16 chunks a worker, at least 16 rows and at most limit
-// rows each, so a short pass still reaches every worker's deque.
+// rows each, so a short pass still reaches every worker.
 func ChunkFor(rows, procs, limit int) int {
 	return min(limit, max(16, rows/(16*procs)))
 }
@@ -61,161 +58,21 @@ func (c *Cursor) Next() (chunk int, ok bool) {
 	return int(v), true
 }
 
-// Deque is a small mutex-guarded double-ended queue of chunk indices. The
-// owner pushes and pops at the tail (LIFO, cache-warm), thieves pop at the
-// head (FIFO, the oldest — and for seeded deques the largest-remaining —
-// work). Chunk counts are small (thousands), so a lock per operation is
-// far below the cost of counting one chunk; the classic lock-free Chase–Lev
-// structure would buy nothing here.
-//
-// Deques live one-per-worker in a Stealing slice and the owner hammers its
-// own mutex on every chunk claim, so the struct is padded to a full cache
-// line: unpadded it is 40 bytes and two workers' deques would invalidate
-// each other's line on every Push/Pop (armlint falseshare caught exactly
-// that).
-//
-// Live entries are items[head:len(items)]: PopHead advances the head index
-// instead of re-slicing items[1:], which would strand the consumed prefix
-// of the backing array and force every post-steal Push or Seed to grow a
-// fresh one — a capacity leak across reused deques. Whenever the deque
-// drains, both ends reset (head=0, items[:0]) so the full backing array is
-// reusable by the next Seed cycle.
-type Deque struct {
-	//armlint:hot
-	mu sync.Mutex
-	//armlint:hot
-	//armlint:guardedby mu
-	items []int32
-	//armlint:hot
-	//armlint:guardedby mu
-	head int
-	_    [64 - 8 - 24 - 8]byte // pad to one cache line (mutex 8B + slice header 24B + head 8B)
-}
-
-// Push appends v at the tail.
-func (d *Deque) Push(v int32) {
-	d.mu.Lock()
-	d.items = append(d.items, v)
-	d.mu.Unlock()
-}
-
-// PopTail removes the newest entry (owner side).
-func (d *Deque) PopTail() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == d.head {
-		return 0, false
-	}
-	v := d.items[n-1]
-	d.items = d.items[:n-1]
-	if len(d.items) == d.head {
-		d.head = 0
-		d.items = d.items[:0]
-	}
-	return v, true
-}
-
-// PopHead removes the oldest entry (thief side).
-func (d *Deque) PopHead() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == d.head {
-		return 0, false
-	}
-	v := d.items[d.head]
-	d.head++
-	if d.head == len(d.items) {
-		d.head = 0
-		d.items = d.items[:0]
-	}
-	return v, true
-}
-
-// Len returns the current entry count.
-func (d *Deque) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items) - d.head
-}
-
-// Stealing coordinates per-worker chunk deques: each worker drains its own
-// deque LIFO and, when empty, scans the other workers round-robin stealing
-// FIFO. Chunks are claimed exactly once; when every deque is empty Next
-// reports done (in-flight chunks need no tracking — a claimed chunk is
-// owned by its claimant).
-type Stealing struct {
-	deques []Deque
-}
-
-// NewStealing creates a scheduler for procs workers with empty deques; seed
-// the deques with Seed before starting the workers.
-func NewStealing(procs int) *Stealing {
-	if procs < 1 {
-		procs = 1
-	}
-	return &Stealing{deques: make([]Deque, procs)}
-}
-
-// Seed assigns chunk indices [lo, hi) to worker p's deque in ascending
-// order, so the owner's LIFO pop walks its block back-to-front and thieves
-// take the front — the end a block-partitioned straggler has not reached.
-func (s *Stealing) Seed(p, lo, hi int) {
-	d := &s.deques[p]
-	d.mu.Lock()
-	for c := lo; c < hi; c++ {
-		d.items = append(d.items, int32(c))
-	}
-	d.mu.Unlock()
-}
-
-// SeedBlocks block-partitions n chunks across the deques (worker p receives
-// the contiguous range p·n/P … (p+1)·n/P, mirroring db.BlockPartition).
-func (s *Stealing) SeedBlocks(n int) {
-	procs := len(s.deques)
-	for p := 0; p < procs; p++ {
-		s.Seed(p, p*n/procs, (p+1)*n/procs)
-	}
-}
-
-// Next claims a chunk for worker p: own deque first (LIFO), then victims
-// (p+1, p+2, … mod P) FIFO. victim is the deque the chunk came from — equal
-// to p for a self-pop, another worker for a steal (the trace export draws
-// the victim→thief flow arrow from it); ok is false when no work remains
-// anywhere.
-//
-//armlint:itersrc
-func (s *Stealing) Next(p int) (chunk int32, victim int, ok bool) {
-	if v, ok := s.deques[p].PopTail(); ok {
-		return v, p, true
-	}
-	procs := len(s.deques)
-	for off := 1; off < procs; off++ {
-		victim := (p + off) % procs
-		if v, ok := s.deques[victim].PopHead(); ok {
-			return v, victim, true
-		}
-	}
-	return 0, p, false
-}
-
-// PerWorker is one worker's counting-phase accumulator set, padded to a full
+// perWorker is one worker's Pass accumulator set, padded to a full
 // cache line so that adjacent workers' counters never share a line. The
 // counting loop increments these on every chunk claim; before padding, the
-// equivalent bare int64 slices (ChunksClaimed/Steals/CountWork in the phase
+// equivalent bare int64 slices (ChunksClaimed/CountWork in the phase
 // timing arrays) packed eight workers per line and every increment
 // invalidated its neighbours — the textbook false-sharing pattern the paper's
 // Section 5.2 measures and armlint's falseshare analyzer flags.
-type PerWorker struct {
+type perWorker struct {
 	//armlint:hot
 	Claimed int64 // chunks claimed by this worker
 	//armlint:hot
-	Stolen int64 // chunks stolen from other workers' deques
-	//armlint:hot
 	Work int64 // deterministic work units counted
 	//armlint:hot
-	ElapsedNS int64          // wall-clock nanoseconds spent in the phase
-	_         [64 - 4*8]byte // pad to one cache line
+	ElapsedNS int64          // wall-clock nanoseconds spent in the pass
+	_         [64 - 3*8]byte // pad to one cache line
 }
 
 // GreedySchedule is the deterministic stand-in for the racy runtime chunk

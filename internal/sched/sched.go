@@ -1,15 +1,19 @@
-// Package sched provides the dynamic scheduling substrate for the parallel
-// mining phases: a persistent worker pool that replaces per-phase goroutine
-// spawning, chunked work distribution through an atomic claim cursor, and
-// per-worker deques with LIFO self-pop / FIFO steal for skewed workloads.
-// The paper's static block/workload partitions (Section 3.2.2) leave
-// processors idle whenever the transaction cost estimate is wrong; dynamic
-// chunk claiming bounds that idle time by one chunk's work.
+// Package sched provides the scheduling substrate for the parallel mining
+// phases: a persistent worker pool that replaces per-phase goroutine
+// spawning, an atomic claim cursor, and Pass, the one row pass every
+// engine's F1 scan, pair pass and hash-tree walk runs. A pass splits its
+// rows statically, by the paper's block or workload partition (Section
+// 3.2.2), or lets workers claim fixed chunks from the cursor. Static splits
+// leave processors idle whenever the transaction cost estimate is wrong;
+// claiming bounds that idle time by one chunk's work. A counting pass is a
+// flat loop over chunks that spawn no subtasks, so one shared cursor is all
+// the dynamic scheduling it needs.
 //
 // The package also carries the deterministic greedy list-schedule model
 // (GreedySchedule) that stands in for the racy runtime chunk assignment when
 // the experiment harness needs reproducible per-processor work figures —
-// which is why the package is pinned: no wall clock, no randomness.
+// which is why the package is pinned: no wall clock in the work model, no
+// randomness.
 //
 //armlint:pinned
 package sched
@@ -39,7 +43,7 @@ type Pool struct {
 	wg    sync.WaitGroup
 	// wrap, when set, brackets every dispatched closure — the hook the
 	// observability layer uses to record per-worker phase spans and apply
-	// runtime/pprof phase labels without sched importing either.
+	// runtime/pprof phase labels around every phase, not only passes.
 	wrap func(worker int, fn func(int))
 	// panics[i] is worker i's recovered panic from the current Run, nil
 	// when it completed normally. Reset by Run before dispatch; each worker
@@ -52,7 +56,7 @@ type Pool struct {
 
 // workerNote is one worker's current-chunk annotation, padded to a cache
 // line: the owner rewrites it on every chunk claim, and unpadded slots would
-// false-share exactly like the counting accumulators (PerWorker).
+// false-share exactly like the counting accumulators (perWorker).
 type workerNote struct {
 	//armlint:hot
 	chunk int64

@@ -117,133 +117,6 @@ func TestCursorClaimsEachChunkOnce(t *testing.T) {
 	}
 }
 
-func TestDequeEnds(t *testing.T) {
-	var d Deque
-	for i := int32(0); i < 4; i++ {
-		d.Push(i)
-	}
-	if v, ok := d.PopTail(); !ok || v != 3 {
-		t.Errorf("PopTail = %d,%v want 3 (LIFO)", v, ok)
-	}
-	if v, ok := d.PopHead(); !ok || v != 0 {
-		t.Errorf("PopHead = %d,%v want 0 (FIFO)", v, ok)
-	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d", d.Len())
-	}
-	d.PopTail()
-	d.PopTail()
-	if _, ok := d.PopTail(); ok {
-		t.Error("PopTail on empty deque")
-	}
-	if _, ok := d.PopHead(); ok {
-		t.Error("PopHead on empty deque")
-	}
-}
-
-// TestDequeBackingArrayStable pins the PopHead capacity fix: draining a
-// deque from the head (the thief side) and reseeding it must reuse the same
-// backing array instead of growing a fresh one per cycle. The former
-// items = items[1:] re-slice stranded the consumed prefix, so every
-// Seed/drain cycle over a reused deque allocated anew.
-func TestDequeBackingArrayStable(t *testing.T) {
-	const chunks = 64
-	var d Deque
-	for i := 0; i < chunks; i++ {
-		d.Push(int32(i))
-	}
-	base := &d.items[0]
-	baseCap := cap(d.items)
-	for cycle := 0; cycle < 10; cycle++ {
-		// Drain entirely from the head, as a persistent thief would.
-		for i := 0; i < chunks; i++ {
-			if v, ok := d.PopHead(); !ok || v != int32(i) {
-				t.Fatalf("cycle %d: PopHead = %d,%v want %d", cycle, v, ok, i)
-			}
-		}
-		if _, ok := d.PopHead(); ok {
-			t.Fatalf("cycle %d: deque not empty after drain", cycle)
-		}
-		if d.head != 0 || len(d.items) != 0 {
-			t.Fatalf("cycle %d: drain did not reset ends (head=%d len=%d)", cycle, d.head, len(d.items))
-		}
-		for i := 0; i < chunks; i++ {
-			d.Push(int32(i))
-		}
-		if cap(d.items) != baseCap || &d.items[0] != base {
-			t.Fatalf("cycle %d: backing array changed (cap %d → %d) — capacity leak", cycle, baseCap, cap(d.items))
-		}
-	}
-	// Mixed-end drain must also converge back to the same array.
-	for d.Len() > 0 {
-		d.PopHead()
-		if d.Len() > 0 {
-			d.PopTail()
-		}
-	}
-	for i := 0; i < chunks; i++ {
-		d.Push(int32(i))
-	}
-	if &d.items[0] != base {
-		t.Error("mixed-end drain leaked the backing array")
-	}
-}
-
-func TestStealingClaimsEachChunkOnce(t *testing.T) {
-	const procs, chunks = 4, 500
-	st := NewStealing(procs)
-	st.SeedBlocks(chunks)
-	var mu sync.Mutex
-	got := make(map[int32]int)
-	var steals int64
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for {
-				c, victim, ok := st.Next(p)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				got[c]++
-				if victim != p {
-					steals++
-				}
-				mu.Unlock()
-			}
-		}(p)
-	}
-	wg.Wait()
-	if len(got) != chunks {
-		t.Fatalf("claimed %d distinct chunks, want %d", len(got), chunks)
-	}
-	for c, k := range got {
-		if k != 1 {
-			t.Errorf("chunk %d claimed %d times", c, k)
-		}
-	}
-}
-
-func TestStealingOrder(t *testing.T) {
-	// Single-threaded semantics: owner LIFO, theft FIFO from the next victim.
-	st := NewStealing(2)
-	st.Seed(0, 0, 3) // worker 0 holds 0,1,2
-	if c, victim, ok := st.Next(0); !ok || victim != 0 || c != 2 {
-		t.Errorf("owner pop = %d victim=%d", c, victim)
-	}
-	if c, victim, ok := st.Next(1); !ok || victim != 0 || c != 0 {
-		t.Errorf("steal = %d victim=%d, want FIFO chunk 0 from victim 0", c, victim)
-	}
-	if c, victim, ok := st.Next(1); !ok || victim != 0 || c != 1 {
-		t.Errorf("second steal = %d victim=%d", c, victim)
-	}
-	if _, _, ok := st.Next(0); ok {
-		t.Error("expected exhaustion")
-	}
-}
-
 func TestGreedySchedule(t *testing.T) {
 	// One giant chunk plus small ones: greedy puts the giant alone.
 	load := GreedySchedule([]int64{100, 1, 1, 1, 1, 1, 1}, 3)

@@ -84,8 +84,8 @@ func countPairs(t *testing.T, d *db.Database, pc *apriori.PairCount, procs, stri
 	t.Helper()
 	pool := sched.NewPool(procs)
 	defer pool.Close()
-	pp := newPairPass(pc, pool, d.Len(), stride, nil)
-	if err := pp.count(context.Background(), 0, d); err != nil {
+	pp := newPairPass(context.Background(), pc, pool, d.Len(), stride, nil)
+	if err := pp.count(-1, 0, d); err != nil {
 		t.Fatal(err)
 	}
 	tri, _, err := pp.reduce()

@@ -68,8 +68,8 @@ type Stats struct {
 	DenseItems  int // columns stored as bitmaps
 	SparseItems int // columns stored as tidlists
 
-	// F1Work is the per-processor item-scan work of the counting pass
-	// (block partition, like CCPD's iteration 1).
+	// F1Work is the per-processor item-scan work of the F1 row pass (block
+	// partition, as CCPD's iteration 1 under PartitionBlock).
 	F1Work []int64
 	// BuildWork is the serial fill pass materializing the vertical columns.
 	BuildWork int64
@@ -220,10 +220,13 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 		pool.Close()
 	}()
 
-	// Phase 1: parallel item counting (block partition, private arrays).
+	// Phase 1: the F1 row pass (block partition, private item counts). The
+	// counts are kept whole: the layout build reuses them.
 	rec.SetPhase(obs.PhaseF1, 1)
 	rec.BeginPhase(obs.PhaseF1, 1)
-	sups, f1work, pairBound, err := countItems(ctx, src, pool, opts.ChunkStride)
+	ic := apriori.NewItemCount(opts.Procs, src.numItems, opts.ChunkStride)
+	f1 := sched.NewPass(ctx, pool, sched.PassSpec{Phase: "f1", K: 1, Static: sched.Blocks(src.numTx, opts.Procs), Rec: rec}, ic.Kernel)
+	err := seg.EachSegment(ctx, src.d, src.pipe, f1.Segment)
 	rec.EndPhase(obs.PhaseF1, 1)
 	if err != nil {
 		return nil, nil, annotate(err, "f1", 1)
@@ -232,12 +235,9 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 		// Interrupted mid-scan: the counts are partial, nothing is usable.
 		return nil, nil, err
 	}
-	stats.F1Work = f1work
-	for it, c := range sups {
-		if c >= minCount {
-			res.ByK[1] = append(res.ByK[1], apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
-		}
-	}
+	stats.F1Work = f1.Result().Work
+	sups, pairBound := ic.Sums()
+	res.ByK[1] = apriori.FrequentItems(sups, minCount)
 	rec.IterStats(1, src.numItems, len(res.ByK[1]))
 	if opts.MaxK == 1 || len(res.ByK[1]) < 2 {
 		stats.Total = time.Since(start) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
@@ -257,7 +257,7 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 	var pp *pairPass
 	if opts.forcePairs > 0 ||
 		opts.forcePairs == 0 && pairPassPays(pairBound, levelTwoWork(heads, lay), opts.Procs, len(heads)) {
-		pp = newPairPass(apriori.NewPairCount(res.ByK[1], src.numItems), pool, src.numTx, opts.ChunkStride, rec)
+		pp = newPairPass(ctx, apriori.NewPairCount(res.ByK[1], src.numItems), pool, src.numTx, opts.ChunkStride, rec)
 		defer pp.release()
 	}
 
@@ -274,7 +274,7 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 	if pp != nil {
 		phase = "pairs"
 	}
-	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
+	err = seg.EachSegment(ctx, src.d, src.pipe, func(si, base int, sd *db.Database) error {
 		rec.SetPhase(obs.PhaseTreeBuild, 2)
 		rec.BeginPhase(obs.PhaseTreeBuild, 2)
 		lay.fill(base, sd)
@@ -282,7 +282,7 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 		if pp == nil {
 			return nil
 		}
-		return pp.count(ctx, base, sd)
+		return pp.count(si, base, sd)
 	})
 	if err != nil {
 		return nil, nil, annotate(err, phase, 2)
@@ -373,53 +373,6 @@ func mine(ctx context.Context, src source, opts Options) (*apriori.Result, *Stat
 	return res, stats, nil
 }
 
-// countItems is the parallel F1 scan: each worker counts its block of the
-// source's transactions, clipped to each segment, into a private array, and
-// the reduction runs once at the end. Returns the full per-item counts (the
-// layout build reuses them), the per-processor scan work, and Σ_t C(|t|,2)
-// — the pair pass's increment bound before F1 is known.
-func countItems(ctx context.Context, src source, pool *sched.Pool, stride int) (sums, work []int64, pairBound int64, err error) {
-	procs, n := pool.Procs(), src.numTx
-	local := make([][]int64, procs)
-	work = make([]int64, procs)
-	bounds := make([]int64, procs)
-	err = seg.EachSegment(ctx, src.d, src.pipe, func(_, base int, sd *db.Database) error {
-		end := base + sd.Len()
-		return pool.Run(func(p int) {
-			if local[p] == nil {
-				local[p] = make([]int64, src.numItems)
-			}
-			counts := local[p]
-			var w, b int64
-			lo, hi := max(p*n/procs, base)-base, min((p+1)*n/procs, end)-base
-			for i := lo; i < hi; i++ {
-				if (i-lo)%stride == 0 && ctx.Err() != nil {
-					break
-				}
-				items := sd.Items(i)
-				w += int64(len(items)) * WorkItemScan
-				b += int64(len(items)) * int64(len(items)-1) / 2
-				for _, it := range items {
-					counts[it]++
-				}
-			}
-			work[p] += w
-			bounds[p] += b
-		})
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	sums = make([]int64, src.numItems)
-	for p := 0; p < procs; p++ {
-		for it, c := range local[p] {
-			sums[it] += c
-		}
-		pairBound += bounds[p]
-	}
-	return sums, work, pairBound, nil
-}
-
 // pairPassPays is the cost rule for the pair pass over n frequent items:
 // its increment bound (Σ_t C(|t|,2), at WorkPairInc each) must undercut the
 // level-2 diffset work it lets the DFS skip, and procs triangles must fit
@@ -452,30 +405,28 @@ func levelTwoWork(heads []head, lay *Layout) int64 {
 // pairPass counts every pair of frequent items into one private triangle per
 // worker, one segment at a time, and reduces them, by cell range, into the
 // first. Workers claim chunks of a global stride-transaction grid from a
-// cursor per segment (a long transaction costs quadratically more, so a
+// cursor (sched.Pass; a long transaction costs quadratically more, so a
 // static split would strand work), and the pass's work is the greedy
 // list-schedule of the per-chunk work — the deterministic stand-in for the
 // racy claims, as CountWork is for the classes. On cancellation the counts
 // are partial and the caller discards them.
 type pairPass struct {
-	pc        *apriori.PairCount
-	pool      *sched.Pool
-	stride    int
-	rec       *obs.Recorder
-	tris      [][]int32 // per-worker triangles; tris[0] takes the reduction
-	scratch   [][]int32 // per-worker rank buffers
-	chunkWork []int64
-	wall      time.Duration // the pass's own wall clock: its segments plus the reduction
+	pc   *apriori.PairCount
+	pool *sched.Pool
+	pass *sched.Pass
+	rec  *obs.Recorder
+	tris [][]int32     // per-worker triangles; tris[0] takes the reduction
+	wall time.Duration // the pass's own wall clock: its segments plus the reduction
 }
 
-func newPairPass(pc *apriori.PairCount, pool *sched.Pool, numTx, stride int, rec *obs.Recorder) *pairPass {
-	procs := pool.Procs()
-	return &pairPass{
-		pc: pc, pool: pool, stride: stride, rec: rec,
-		tris:      make([][]int32, procs),
-		scratch:   make([][]int32, procs),
-		chunkWork: make([]int64, sched.NumChunks(numTx, stride)),
-	}
+func newPairPass(ctx context.Context, pc *apriori.PairCount, pool *sched.Pool, numTx, stride int, rec *obs.Recorder) *pairPass {
+	pp := &pairPass{pc: pc, pool: pool, rec: rec, tris: make([][]int32, pool.Procs())}
+	spec := sched.PassSpec{Phase: "pairs", K: 2, Rows: numTx, Chunk: stride, Rec: rec}
+	pp.pass = sched.NewPass(ctx, pool, spec, func(p int) sched.Kernel {
+		pp.tris[p] = getBuf[int32](&triPool, pc.Cells(), true)
+		return pc.Kernel(pp.tris[p], stride)
+	})
+	return pp
 }
 
 // begin opens one of the pass's phase spans and returns its closer, which
@@ -490,35 +441,11 @@ func (pp *pairPass) begin() func() {
 	}
 }
 
-// count adds the pairs of segment sd, whose first transaction has global
-// tid base.
-func (pp *pairPass) count(ctx context.Context, base int, sd *db.Database) error {
+// count adds the pairs of segment sd (index si), whose first transaction
+// has global tid base.
+func (pp *pairPass) count(si, base int, sd *db.Database) error {
 	defer pp.begin()()
-	cells := pp.pc.Cells()
-	end := base + sd.Len()
-	cLo, cHi := sched.ChunkSpan(base, end, pp.stride)
-	cur := sched.NewCursor(cHi - cLo)
-	return pp.pool.Run(func(p int) {
-		if pp.tris[p] == nil {
-			pp.tris[p], pp.scratch[p] = getBuf[int32](&triPool, cells, true), make([]int32, pp.pc.N())
-		}
-		var w int64
-		for ctx.Err() == nil {
-			c, ok := cur.Next()
-			if !ok {
-				break
-			}
-			c += cLo
-			lo, hi := sched.ChunkRange(c, pp.stride, base, end)
-			// A chunk straddling a segment edge is claimed once per
-			// segment, and the pool barrier separates segments, so this
-			// write is private.
-			cw := pp.pc.CountRange(ctx, pp.tris[p], pp.scratch[p], sd, lo, hi, pp.stride)
-			pp.chunkWork[c] += cw
-			w += cw
-		}
-		pp.rec.Worker(p).AddWork(w)
-	})
+	return pp.pass.Segment(si, base, sd)
 }
 
 // reduce sums the triangles into the first and returns it with the pass's
@@ -529,7 +456,7 @@ func (pp *pairPass) reduce() (tri []int32, work []int64, err error) {
 	err = pp.pool.Run(func(p int) {
 		apriori.ReduceRange(pp.tris, p*cells/procs, (p+1)*cells/procs)
 	})
-	return pp.tris[0], sched.GreedySchedule(pp.chunkWork, procs), err
+	return pp.tris[0], pp.pass.Result().Work, err
 }
 
 // release returns the triangles to their pool; the pass and its reduced
